@@ -17,7 +17,7 @@
 //! `scripts/verify.sh` gates on (`results/BENCH_replay.json`).
 
 use rmdb_core::export::{tables_to_json, tables_to_text};
-use rmdb_machine::ablations::restart_time;
+use rmdb_machine::ablations::{restart_time, restart_workload, restart_workload_cfg};
 use rmdb_restart::{restart, RedoScheduler, RestartConfig};
 use rmdb_storage::Disk;
 use rmdb_wal::{CrashImage, LoggingPolicy, WalConfig, WalDb};
@@ -94,36 +94,25 @@ fn main() {
         eprintln!("wrote {dir}/restart_ablation.txt and {dir}/restart_ablation.json");
     }
 
-    // One representative run, end to end: fine checkpoints, K=4, with the
-    // full report and the serial-replay comparison. Mirrors the
-    // `restart_time` workload: 256-byte fragments over 1600 pages, an
-    // interval that leaves a redo remainder after the last checkpoint.
+    // One representative run, end to end: the `restart_time` workload at
+    // fine checkpoints, K=4, with the full report and the full-log replay
+    // comparison (the unbounded archive entry point over the crash image's
+    // own data disk).
     let ckpt_every = (txns as u64 / 16 + 1).max(2);
-    let cfg = || WalConfig {
-        data_pages: 2048,
-        pool_frames: 64,
-        log_streams: 4,
-        log_frames: 1 << 16,
-        ckpt_every_commits: ckpt_every,
-        ..WalConfig::default()
-    };
-    let mut db = WalDb::new(cfg());
-    let drone = db.begin();
-    db.write(drone, 2047, 0, b"drone").expect("drone write");
-    for i in 0..txns as u64 {
-        let t = db.begin();
-        let payload = [(i % 251) as u8; 256];
-        db.write(t, i % 1600, (i % 14) as usize * 256, &payload)
-            .expect("write");
-        db.commit(t).expect("commit");
-    }
-
+    let image = restart_workload(txns, ckpt_every);
     let t0 = Instant::now();
-    let (_, serial) = WalDb::recover(db.crash_image(), cfg()).expect("serial recover");
+    let (_, serial) =
+        WalDb::recover_from_archive(image.data, image.logs, restart_workload_cfg(ckpt_every))
+            .expect("full-log replay");
     let serial_elapsed = t0.elapsed();
 
     let rcfg = RestartConfig::default();
-    let (_, report) = restart(db.crash_image(), cfg(), &rcfg).expect("restart");
+    let (_, report) = restart(
+        restart_workload(txns, ckpt_every),
+        restart_workload_cfg(ckpt_every),
+        &rcfg,
+    )
+    .expect("restart");
 
     println!();
     println!("{report}");

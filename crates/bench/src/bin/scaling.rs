@@ -35,6 +35,7 @@
 //! verdict; `scripts/verify.sh` gates on zero conservation violations
 //! and `filedisk_recovery.identical == true`.
 
+use rmdb_bench::percentile_us;
 use rmdb_exec::{ExecConfig, ExecDb, Executor};
 use rmdb_obs::Registry;
 use rmdb_storage::{BackendKind, Disk, NvmeConfig};
@@ -130,16 +131,6 @@ impl Cell {
             self.conservation_violations,
         )
     }
-}
-
-/// Inclusive-rank percentile of an unsorted latency sample, in place.
-fn percentile_us(lat: &mut [u64], q: f64) -> u64 {
-    if lat.is_empty() {
-        return 0;
-    }
-    lat.sort_unstable();
-    let idx = ((lat.len() as f64 - 1.0) * q).round() as usize;
-    lat[idx]
 }
 
 fn run_cell(backend: Backend, workers: usize, streams: usize, secs: f64) -> Cell {

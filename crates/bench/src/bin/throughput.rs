@@ -41,6 +41,7 @@
 //!   `results/BENCH_readmix.json`; exits non-zero on any
 //!   snapshot-consistency violation.
 
+use rmdb_bench::percentile_us;
 use rmdb_exec::{ExecConfig, ExecDb, Executor};
 use rmdb_obs::Registry;
 use rmdb_storage::{FaultInjector, FaultPlan};
@@ -167,16 +168,6 @@ fn parse_kill_spec(s: &str) -> Option<KillSpec> {
         None => (s.parse().ok()?, 500),
     };
     Some(KillSpec { stream, at_ms })
-}
-
-/// Inclusive-rank percentile of an unsorted latency sample, in place.
-fn percentile_us(lat: &mut [u64], q: f64) -> u64 {
-    if lat.is_empty() {
-        return 0;
-    }
-    lat.sort_unstable();
-    let idx = ((lat.len() as f64 - 1.0) * q).round() as usize;
-    lat[idx]
 }
 
 /// One commit observation: completion time relative to run start, latency.

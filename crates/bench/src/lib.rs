@@ -3,7 +3,7 @@
 //! Every `table*` binary accepts an optional `--txns N` argument (default:
 //! the calibrated paper-scale batch of 40 transactions) and an optional
 //! `--json` flag to emit machine-readable output instead of the aligned
-//! text table.
+//! text table. The wall-clock benches share [`percentile_us`].
 
 use rmdb_machine::experiments::{ExpTable, PAPER_TXNS};
 
@@ -42,4 +42,14 @@ pub fn run_table(f: fn(usize) -> ExpTable) {
     } else {
         print!("{}", table.render());
     }
+}
+
+/// Inclusive-rank percentile of an unsorted latency sample, in place.
+pub fn percentile_us(lat: &mut [u64], q: f64) -> u64 {
+    if lat.is_empty() {
+        return 0;
+    }
+    lat.sort_unstable();
+    let idx = ((lat.len() as f64 - 1.0) * q).round() as usize;
+    lat[idx]
 }

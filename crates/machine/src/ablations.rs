@@ -20,6 +20,7 @@ use crate::config::{
 };
 use crate::experiments::{ExpRow, ExpTable};
 use crate::machine::Machine;
+use rmdb_wal::{CrashImage, WalConfig, WalDb};
 
 fn base_configs(txns: usize) -> Vec<(&'static str, MachineConfig)> {
     MachineConfig::paper_configurations()
@@ -188,6 +189,35 @@ pub fn overwrite_variants(txns: usize) -> ExpTable {
     }
 }
 
+/// The engine configuration of the [`restart_time`] workload.
+pub fn restart_workload_cfg(ckpt_every: u64) -> WalConfig {
+    WalConfig {
+        data_pages: 2048,
+        pool_frames: 64,
+        log_streams: 4,
+        log_frames: 1 << 16,
+        ckpt_every_commits: ckpt_every,
+        ..WalConfig::default()
+    }
+}
+
+/// The crash image of the [`restart_time`] workload: `txns` single-page
+/// commits behind one open drone transaction. 256-byte fragments over 1600
+/// pages: redo pushes real bytes, so the worker axis measures something.
+pub fn restart_workload(txns: usize, ckpt_every: u64) -> CrashImage {
+    let mut db = WalDb::new(restart_workload_cfg(ckpt_every));
+    let drone = db.begin();
+    db.write(drone, 2047, 0, b"drone").expect("drone write");
+    for i in 0..txns as u64 {
+        let t = db.begin();
+        let payload = [(i % 251) as u8; 256];
+        db.write(t, i % 1600, (i % 14) as usize * 256, &payload)
+            .expect("workload write");
+        db.commit(t).expect("workload commit");
+    }
+    db.crash_image()
+}
+
 /// Recovery time vs checkpoint interval × redo worker count, measured on
 /// the functional WAL engine with the checkpoint-bounded parallel restart
 /// engine ([`rmdb_restart`]).
@@ -197,41 +227,18 @@ pub fn overwrite_variants(txns: usize) -> ExpTable {
 /// and the logs are retained rather than truncated — the restart then has
 /// real analysis/redo work to bound and to parallelise. Rows sweep the
 /// checkpoint interval (none / coarse / fine); columns report serial
-/// full-log replay (`WalDb::recover`) against the restart engine at
+/// full-log replay (`WalDb::recover_from_archive`: one worker, checkpoint
+/// bound off) against the restart engine at
 /// K ∈ {1, 2, 4} redo workers, plus the scan accounting that explains the
 /// trend: finer checkpoints exempt more records from redo, and more
 /// workers shrink the redo phase of what remains.
 pub fn restart_time(txns: usize) -> ExpTable {
     use rmdb_restart::{restart, RestartConfig};
-    use rmdb_wal::{CrashImage, WalConfig, WalDb};
     use std::time::Instant;
 
-    let mk_cfg = |ckpt_every: u64| WalConfig {
-        data_pages: 2048,
-        pool_frames: 64,
-        log_streams: 4,
-        log_frames: 1 << 16,
-        ckpt_every_commits: ckpt_every,
-        ..WalConfig::default()
-    };
-    // 256-byte fragments over 1600 pages: redo pushes real bytes, so the
-    // worker axis measures something. The `+ 1` on the intervals keeps
-    // them from dividing `txns` exactly — the last auto-checkpoint then
-    // lands before the log tail, leaving the restart a redo remainder.
-    let build = |ckpt_every: u64| -> CrashImage {
-        let mut db = WalDb::new(mk_cfg(ckpt_every));
-        let drone = db.begin();
-        db.write(drone, 2047, 0, b"drone").expect("drone write");
-        for i in 0..txns as u64 {
-            let t = db.begin();
-            let payload = [(i % 251) as u8; 256];
-            db.write(t, i % 1600, (i % 14) as usize * 256, &payload)
-                .expect("workload write");
-            db.commit(t).expect("workload commit");
-        }
-        db.crash_image()
-    };
-
+    // The `+ 1` on the intervals keeps them from dividing `txns` exactly —
+    // the last auto-checkpoint then lands before the log tail, leaving the
+    // restart a redo remainder.
     let coarse = (txns as u64 / 4 + 1).max(2);
     let fine = (txns as u64 / 16 + 1).max(2);
     let mut rows = Vec::new();
@@ -241,16 +248,21 @@ pub fn restart_time(txns: usize) -> ExpTable {
         (format!("ckpt every {fine} commits"), fine),
     ] {
         let mut row = ExpRow::new(label);
-        let image = build(interval);
+        let cfg = restart_workload_cfg(interval);
+        let image = restart_workload(txns, interval);
+        // full-log replay: the unbounded archive entry point over the
+        // crash image's own data disk
         let t0 = Instant::now();
-        let (_, serial) = WalDb::recover(image, mk_cfg(interval)).expect("serial recover");
+        let (_, serial) = WalDb::recover_from_archive(image.data, image.logs, cfg.clone())
+            .expect("full-log replay");
         row.push("serial replay ms", t0.elapsed().as_secs_f64() * 1e3);
         for k in [1usize, 2, 4] {
             let rcfg = RestartConfig {
                 workers: k,
                 ..RestartConfig::default()
             };
-            let (_, rep) = restart(build(interval), mk_cfg(interval), &rcfg).expect("restart");
+            let image = restart_workload(txns, interval);
+            let (_, rep) = restart(image, cfg.clone(), &rcfg).expect("restart");
             row.push(format!("K={k} ms"), rep.timings.total.as_secs_f64() * 1e3);
             if k == 4 {
                 row.push("records scanned", rep.base.records_scanned as f64);

@@ -14,8 +14,8 @@
 //! numbering, and the executor's ready-queue tie-break are identical for
 //! every worker count.
 
-use crate::{LogicalMeta, RedoItem};
 use rmdb_storage::PageId;
+use rmdb_wal::recovery::{LogicalMeta, RedoItem};
 use rmdb_wal::TxnId;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -179,8 +179,8 @@ pub fn build_dag(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RedoBody;
     use rmdb_storage::Lsn;
+    use rmdb_wal::recovery::RedoBody;
     use rmdb_wal::LogicalOp;
 
     fn install(txn: TxnId, lsn: u64, page: u64) -> (PageId, RedoItem) {

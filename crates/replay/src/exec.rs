@@ -12,62 +12,26 @@
 //! the shared page slots; the coordinator collects the final images (and
 //! the quarantine set) after the scope joins.
 
-use crate::{apply_item, build_dag, load_redo_page, LogicalMeta, PageLoad, RedoBody, RedoItem};
+use crate::{build_dag, DagNode};
 use rmdb_storage::{Disk, Page, PageId, StorageError};
+use rmdb_wal::recovery::{
+    apply_item, load_redo_page, LogicalMeta, PageLoad, RedoBody, RedoItem, RedoOutcome,
+    ReplaySummary, WorkerStats,
+};
 use rmdb_wal::TxnId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// What one replay worker did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayWorkerStats {
-    /// Worker index (0..K).
-    pub worker: usize,
-    /// DAG nodes (transactions) this worker replayed.
-    pub nodes: u64,
-    /// Items applied (installs + re-executed ops).
-    pub redone: u64,
-    /// Of `redone`: physical fragments installed.
-    pub installed: u64,
-    /// Of `redone`: logical ops re-executed.
-    pub reexec_ops: u64,
-    /// Items skipped by the per-page idempotence check.
-    pub skipped_idempotent: u64,
-    /// Wall-clock this worker spent replaying.
-    pub busy: Duration,
-}
-
-/// What a dependency-aware replay produced. Every field except
-/// `per_worker` is byte-for-byte identical across worker counts.
-pub struct ReplayOutcome {
-    /// Rebuilt page images, ready for the coordinator to write home.
-    pub pages: BTreeMap<PageId, Page>,
-    /// Pages that were corrupt and unrebuildable.
-    pub quarantined: BTreeSet<PageId>,
-    /// Items applied (installs + ops; matches serial `redone_updates`).
-    pub redone: u64,
-    /// Items skipped by the idempotence check.
-    pub skipped_idempotent: u64,
-    /// Physical fragments installed.
-    pub pages_installed: u64,
-    /// Logical ops re-executed.
-    pub reexecuted_ops: u64,
-    /// Command-logged transactions re-executed (DAG nodes with ops).
-    pub txns_reexecuted: u64,
-    pub torn_repaired: u64,
-    pub retried_ios: u64,
-    pub dag_nodes: u64,
-    pub dag_edges: u64,
-    /// Σ measured per-node replay time — the DAG's total work.
-    pub work_us: u64,
-    /// The DAG's critical path under those same per-node times. With
-    /// `work_us` this bounds how replay scales with cores (Brent:
-    /// `T_k ≈ span + work/k`); measure at K=1 for uninflated node times.
-    pub span_us: u64,
-    pub per_worker: Vec<ReplayWorkerStats>,
+/// What one replay worker did: the engine's [`WorkerStats`] (`pages`
+/// counts DAG nodes) plus how many of its applied items were logical ops
+/// re-executed rather than fragments installed.
+#[derive(Default)]
+struct WorkerTally {
+    stats: WorkerStats,
+    reexec_ops: u64,
 }
 
 enum Slot {
@@ -100,7 +64,7 @@ struct Sched {
 struct Shared<'a> {
     data: &'a Disk,
     doublewrite: &'a HashMap<PageId, Page>,
-    nodes: &'a [crate::DagNode],
+    nodes: &'a [DagNode],
     succ: &'a [Vec<u32>],
     slots: &'a HashMap<PageId, SlotBox>,
     sched: Mutex<Sched>,
@@ -110,16 +74,17 @@ struct Shared<'a> {
     node_us: Vec<AtomicU64>,
 }
 
-/// Build the DAG and replay it with `workers` threads. The outcome's
-/// logical fields (everything but `per_worker`) and the page images are
-/// identical for every K.
+/// Build the DAG and replay it with `workers` threads — the recovery
+/// engine's transaction-DAG redo phase. The outcome's logical fields
+/// (everything but `per_worker` and the replay timings) and the page
+/// images are identical for every K.
 pub fn replay_dag(
     data: &Disk,
     doublewrite: &HashMap<PageId, Page>,
     redo: BTreeMap<PageId, Vec<RedoItem>>,
     logical: &HashMap<TxnId, LogicalMeta>,
     workers: usize,
-) -> Result<ReplayOutcome, StorageError> {
+) -> Result<RedoOutcome, StorageError> {
     let k = workers.max(1);
     let dag = build_dag(redo, logical);
     let slots: HashMap<PageId, SlotBox> = dag
@@ -163,7 +128,7 @@ pub fn replay_dag(
         node_us: (0..dag.nodes.len()).map(|_| AtomicU64::new(0)).collect(),
     };
 
-    let per_worker: Vec<ReplayWorkerStats> = if k == 1 {
+    let tallies: Vec<WorkerTally> = if k == 1 {
         vec![worker_loop(&shared, 0)]
     } else {
         std::thread::scope(|scope| {
@@ -208,36 +173,25 @@ pub fn replay_dag(
         }
     }
 
-    let mut out = ReplayOutcome {
-        pages: BTreeMap::new(),
-        quarantined: BTreeSet::new(),
-        redone: 0,
-        skipped_idempotent: 0,
-        pages_installed: 0,
-        reexecuted_ops: 0,
-        txns_reexecuted: 0,
-        torn_repaired: 0,
-        retried_ios: 0,
-        dag_nodes: dag.nodes.len() as u64,
-        dag_edges: dag.edges,
-        work_us,
-        span_us,
-        per_worker,
-    };
     // Every per-item and per-slot decision is fixed by per-page order, so
     // these sums are identical for every K; only the per-worker split of
     // them varies with the schedule.
-    for w in &out.per_worker {
-        out.redone += w.redone;
-        out.skipped_idempotent += w.skipped_idempotent;
-        out.pages_installed += w.installed;
-        out.reexecuted_ops += w.reexec_ops;
+    let mut out = RedoOutcome::default();
+    let mut replay = ReplaySummary {
+        dag_nodes: dag.nodes.len() as u64,
+        dag_edges: dag.edges,
+        txns_reexecuted: dag.nodes.iter().filter(|n| n.reexec).count() as u64,
+        work_us,
+        span_us,
+        ..ReplaySummary::default()
+    };
+    for t in tallies {
+        out.redone += t.stats.redone;
+        out.reexecuted_ops += t.reexec_ops;
+        out.per_worker.push(t.stats);
     }
-    for node in &dag.nodes {
-        if node.reexec {
-            out.txns_reexecuted += 1;
-        }
-    }
+    replay.pages_installed = out.redone - out.reexecuted_ops;
+    out.replay = Some(replay);
     for (page, sbox) in &slots {
         let state = sbox.take_state();
         if state.torn_repaired {
@@ -276,12 +230,10 @@ impl SlotBox {
     }
 }
 
-fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
+fn worker_loop(shared: &Shared<'_>, worker: usize) -> WorkerTally {
     let start = Instant::now();
-    let mut stats = ReplayWorkerStats {
-        worker,
-        ..ReplayWorkerStats::default()
-    };
+    let mut tally = WorkerTally::default();
+    tally.stats.shard = worker;
     // One sched-lock critical section per node: completing a node and
     // claiming the next ready one happen under the same acquisition, and
     // peers are woken only when that pop leaves more ready work behind —
@@ -305,8 +257,8 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
             }
             loop {
                 if s.failed.is_some() || s.remaining == 0 {
-                    stats.busy = start.elapsed();
-                    return stats;
+                    tally.stats.busy = start.elapsed();
+                    return tally;
                 }
                 if let Some(Reverse((_, idx))) = s.heap.pop() {
                     if !s.heap.is_empty() {
@@ -318,7 +270,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
             }
         };
         let t_node = Instant::now();
-        let replayed = replay_node(shared, node_idx, &mut stats);
+        let replayed = replay_node(shared, node_idx, &mut tally);
         shared.node_us[node_idx].store(t_node.elapsed().as_micros() as u64, Ordering::Relaxed);
         match replayed {
             Ok(()) => done = Some(node_idx),
@@ -326,11 +278,11 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
                 let mut s = shared.sched.lock().unwrap_or_else(|p| p.into_inner());
                 s.failed = Some(e);
                 shared.cv.notify_all();
-                stats.busy = start.elapsed();
-                return stats;
+                tally.stats.busy = start.elapsed();
+                return tally;
             }
         }
-        stats.nodes += 1;
+        tally.stats.pages += 1;
     }
 }
 
@@ -340,7 +292,7 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) -> ReplayWorkerStats {
 fn replay_node(
     shared: &Shared<'_>,
     node_idx: usize,
-    stats: &mut ReplayWorkerStats,
+    tally: &mut WorkerTally,
 ) -> Result<(), StorageError> {
     let node = &shared.nodes[node_idx];
     for (page_id, items) in &node.pages {
@@ -368,13 +320,12 @@ fn replay_node(
             Slot::Ready(page) => {
                 for item in items {
                     if apply_item(page, item)? {
-                        stats.redone += 1;
-                        match &item.body {
-                            RedoBody::Install { .. } => stats.installed += 1,
-                            RedoBody::Op(_) => stats.reexec_ops += 1,
+                        tally.stats.redone += 1;
+                        if matches!(item.body, RedoBody::Op(_)) {
+                            tally.reexec_ops += 1;
                         }
                     } else {
-                        stats.skipped_idempotent += 1;
+                        tally.stats.skipped_idempotent += 1;
                     }
                 }
             }

@@ -19,6 +19,7 @@ use crate::manager::{LogPos, ParallelLogManager};
 use crate::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
 use crate::recovery;
 use crate::select::SelectionPolicy;
+use rmdb_obs::Registry;
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
     read_page_retry, write_page_verified, BackendKind, BufferPool, Disk, EvictPolicy, Lsn, Page,
@@ -289,9 +290,7 @@ impl WalDb {
 
     /// Construct an engine from recovered parts: the repaired data disk,
     /// the reopened log manager, and the next transaction/LSN counters.
-    /// Used by [`WalDb::recover`] and by external restart engines (the
-    /// `rmdb-restart` crate's checkpoint-bounded parallel restart).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         cfg: WalConfig,
         data: Disk,
         log: ParallelLogManager,
@@ -305,12 +304,14 @@ impl WalDb {
     }
 
     /// Recover a database from a crash image: scans all log streams (never
-    /// merging them into one physical log), redoes history, undoes losers.
+    /// merging them into one physical log), redoes history behind each
+    /// stream's checkpoint bound, undoes losers. Leaves the log untruncated,
+    /// so a later media recovery from an older archive can still replay it.
     pub fn recover(
         image: CrashImage,
         cfg: WalConfig,
     ) -> Result<(WalDb, recovery::RecoveryReport), WalError> {
-        recovery::recover(image, cfg)
+        recovery::recover_observed(image, cfg, &Registry::new())
     }
 
     /// The configuration in force.
@@ -1036,19 +1037,20 @@ impl WalDb {
     /// Media recovery: the data disk was destroyed; rebuild it from an
     /// [`WalDb::archive`] copy plus the surviving log disks. Redo replays
     /// everything logged since the archive (per-page LSNs skip what the
-    /// archive already contains); losers are rolled back as usual.
+    /// archive already contains) with the checkpoint bound off — a
+    /// checkpoint proves its flushes reached the lost disk, not the
+    /// archive; losers are rolled back as usual.
     pub fn recover_from_archive(
         archive: Disk,
         logs: Vec<Disk>,
         cfg: WalConfig,
     ) -> Result<(WalDb, recovery::RecoveryReport), WalError> {
-        recovery::recover(
-            CrashImage {
-                data: archive,
-                logs,
-            },
-            cfg,
-        )
+        let image = CrashImage {
+            data: archive,
+            logs,
+        };
+        let (db, report) = recovery::run(image, cfg, recovery::Engine::MEDIA, &Registry::new())?;
+        Ok((db, report.base))
     }
 
     /// Capture the durable state — what a crash at this instant preserves.

@@ -25,8 +25,11 @@
 //!   back-end controller scheduler uses;
 //! * [`db`] — [`WalDb`], the user-facing engine: begin/read/write/commit/
 //!   abort/checkpoint plus crash images;
-//! * [`recovery`] — distributed-log analysis, repeat-history redo and
-//!   compensated undo.
+//! * [`recovery`] — the one recovery engine: distributed-log analysis
+//!   (checkpoint-bounded for crash restart, unbounded for media recovery),
+//!   K-way page-sharded repeat-history redo, compensated undo, and the
+//!   recovery reports. [`WalDb::recover`], [`WalDb::recover_from_archive`]
+//!   and rmdb-restart's parallel restart all run it.
 //!
 //! # Example
 //!
@@ -47,7 +50,6 @@
 //! ```
 
 pub mod backoff;
-pub mod concurrent;
 pub mod db;
 pub mod lock;
 pub mod manager;
@@ -58,12 +60,13 @@ pub mod select;
 pub mod stream;
 
 pub use backoff::Backoff;
-pub use concurrent::{RetryStats, SharedWal, TxnCtx};
 pub use db::{CrashImage, LogMode, LoggingPolicy, Savepoint, TxnId, WalConfig, WalDb, WalError};
 pub use lock::{LockMode, LockTable};
 pub use manager::ParallelLogManager;
 pub use record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
-pub use recovery::{recover_observed, RecoveryReport};
+pub use recovery::{
+    recover_observed, PhaseTimings, RecoveryReport, ReplaySummary, RestartReport, WorkerStats,
+};
 pub use scheduler::{Decision, Scheduler, WaitStats};
 pub use select::SelectionPolicy;
 pub use stream::{IndexedRecord, LogStream, ScanStats};

@@ -51,6 +51,11 @@ cargo bench --no-run
 # code (test modules exempt); -D warnings promotes that to a hard failure
 cargo clippy -p rmdb-exec --lib -- -D warnings
 cargo test -q --release --test restart_equivalence smoke_k1_vs_k4
+# the bounded restart must match an unbounded full-log replay byte for
+# byte, and media recovery must ignore checkpoint bounds (a checkpoint
+# proves flushes to the lost data disk, not to the archive)
+cargo test -q --release --test restart_equivalence restart_matches_serial_recovery
+cargo test -q --release --test restart_equivalence media_recovery_replays_behind_fuzzy_checkpoint
 cargo test -q --release --test exec_stress
 cargo test -q --release --test obs_properties
 cargo test -q --release --test fault_sweep recovery_obs_counters_match_report_at_every_crashpoint

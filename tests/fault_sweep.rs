@@ -428,7 +428,7 @@ fn difffile_survives_fault_sweep_on_filedisk() {
 // few commits so the scheduled crash regularly lands *inside* an in-flight
 // checkpoint — after its Begin records but before its End, or mid-flush.
 // The checkpoint-bounded parallel restart must (a) recover the oracle state
-// like serial recovery does, and (b) produce byte-identical disks for K=1
+// like `WalDb::recover` does, and (b) produce byte-identical disks for K=1
 // and K=4 redo workers even on these faulted, half-checkpointed images.
 // ---------------------------------------------------------------------------
 

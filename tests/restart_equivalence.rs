@@ -1,7 +1,10 @@
 //! Restart-engine equivalence: the checkpoint-bounded parallel restart
 //! must produce **byte-identical** recovered state for every redo worker
 //! count K — data disk *and* log disks — and the same data-disk state as
-//! serial [`WalDb::recover`] full-log replay.
+//! an unbounded full-log replay of the same image
+//! ([`WalDb::recover_from_archive`]). Media recovery itself must ignore
+//! checkpoint bounds: a checkpoint proves flushes to the lost data disk,
+//! not to the archive.
 //!
 //! The workloads here exercise the interesting structure: fuzzy
 //! auto-checkpoints held open by a long-lived drone transaction (so the
@@ -109,21 +112,25 @@ fn smoke_k1_vs_k4() {
     assert_k_equivalence(&db, 3, 11, &[1, 4]);
 }
 
-/// The restart engine's data-disk state must match serial full-log replay
-/// exactly, checkpoints and all: bounding the scan may skip redo work only
-/// when the skipped updates are already home.
+/// The bounded K=4 restart's data-disk state must match an unbounded
+/// full-log replay of the same image exactly, checkpoints and all:
+/// bounding the scan may skip redo work only when the skipped updates are
+/// already home.
 #[test]
 fn restart_matches_serial_recovery() {
     for (streams, ckpt_every, txns) in [(1, 0, 60), (2, 9, 120), (4, 17, 200)] {
         let db = build_crashed(streams, ckpt_every, txns);
-        let (serial_db, _) =
-            WalDb::recover(db.crash_image(), cfg(streams, ckpt_every)).expect("serial recover");
+        let image = db.crash_image();
+        let (full_db, _) =
+            WalDb::recover_from_archive(image.data, image.logs, cfg(streams, ckpt_every))
+                .expect("full-log replay");
         let rcfg = RestartConfig::default();
+        assert_eq!(rcfg.workers, 4);
         let (restart_db, report) =
             restart(db.crash_image(), cfg(streams, ckpt_every), &rcfg).expect("restart");
         let what = format!("streams={streams} ckpt_every={ckpt_every}");
         assert_disks_identical(
-            &serial_db.crash_image().data,
+            &full_db.crash_image().data,
             &restart_db.crash_image().data,
             &what,
         );
@@ -134,6 +141,45 @@ fn restart_matches_serial_recovery() {
             );
         }
     }
+}
+
+/// Media recovery from an archive taken before a fuzzy checkpoint: the
+/// checkpoint flushed page P's committed bytes to the data disk that was
+/// then destroyed, so only the log holds them. Honouring the checkpoint
+/// bound here would skip P's redo and return the archive's stale bytes.
+#[test]
+fn media_recovery_replays_behind_fuzzy_checkpoint() {
+    let mut db = WalDb::new(cfg(2, 0));
+    let archive = db.archive().expect("archive");
+    // an open transaction keeps the checkpoint fuzzy, so it cannot truncate
+    let drone = db.begin();
+    db.write(drone, PAGES - 1, 0, b"drone")
+        .expect("drone write");
+    for (page, bytes) in [(3, b"P-three"), (7, b"P-seven")] {
+        let t = db.begin();
+        db.write(t, page, 0, bytes).expect("write");
+        db.commit(t).expect("commit");
+    }
+    db.checkpoint().expect("fuzzy checkpoint");
+    let t = db.begin();
+    db.write(t, 20, 0, b"after").expect("write");
+    db.commit(t).expect("commit");
+    let loser = db.begin();
+    db.write(loser, 3, 16, b"loser").expect("loser write");
+    // steal the loser's dirty page: the WAL rule forces its fragment
+    db.flush_all().expect("steal");
+
+    // the data disk is destroyed; the archive and the logs survive
+    let logs = db.crash_image().logs;
+    let (mut rec, report) =
+        WalDb::recover_from_archive(archive, logs, cfg(2, 0)).expect("media recovery");
+    assert_eq!(report.loser_txns, vec![drone, loser]);
+    let q = rec.begin();
+    assert_eq!(rec.read(q, 3, 0, 7).expect("read"), b"P-three");
+    assert_eq!(rec.read(q, 7, 0, 7).expect("read"), b"P-seven");
+    assert_eq!(rec.read(q, 20, 0, 5).expect("read"), b"after");
+    assert_eq!(rec.read(q, 3, 16, 5).expect("read"), vec![0u8; 5]);
+    assert_eq!(rec.read(q, PAGES - 1, 0, 5).expect("read"), vec![0u8; 5]);
 }
 
 proptest! {
@@ -156,7 +202,7 @@ proptest! {
 // Adaptive logging × dependency-aware replay equivalence. Two databases run
 // the *same* random workload — one under adaptive command/logical logging
 // (recovered by the transaction-DAG scheduler), one under pure physical
-// fragment logging (recovered by serial full-log replay). Re-executing
+// fragment logging (recovered by `WalDb::recover`). Re-executing
 // command records in DAG order must land exactly the payload bytes that
 // physical after-image installation lands; and the DAG schedule itself must
 // be byte-identical (disks, logs, logical report) for every K ∈ {1,2,4,8}.
@@ -277,7 +323,8 @@ proptest! {
             }
         }
 
-        // the same workload under pure physical logging, serially recovered:
+        // the same workload under pure physical logging, recovered by
+        // `WalDb::recover` (one worker, page-sharded redo):
         // command re-execution and after-image installation agree on every
         // payload byte of every page
         let physical = build_mixed_crashed(seed, txns, ckpt_every, LoggingPolicy::Fragments);
