@@ -4,34 +4,16 @@
 //! appends a wall-clock throughput table from the real-thread pipeline
 //! alongside the simulated tables.
 
+use rmdb_bench::Args;
 use rmdb_core::export::{tables_to_json, tables_to_text};
 use rmdb_machine::experiments::{all_tables, PAPER_TXNS};
 use rmdb_machine::measured::measured_throughput;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut txns = PAPER_TXNS;
-    let mut out: Option<String> = None;
-    let mut measured = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--txns" => {
-                txns = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(PAPER_TXNS);
-                i += 1;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--measured" => measured = true,
-            _ => {}
-        }
-        i += 1;
-    }
+    let args = Args::parse(&["--measured"], &["--txns", "--out"]);
+    let txns = args.parsed("--txns").unwrap_or(PAPER_TXNS);
+    let out = args.value("--out");
+    let measured = args.flag("--measured");
     let mut tables = all_tables(txns);
     if measured {
         tables.push(measured_throughput(0.5));
@@ -39,7 +21,7 @@ fn main() {
     let text = tables_to_text(&tables);
     print!("{text}");
     if let Some(dir) = out {
-        std::fs::create_dir_all(&dir).expect("create output dir");
+        std::fs::create_dir_all(dir).expect("create output dir");
         std::fs::write(format!("{dir}/tables.txt"), &text).expect("write tables.txt");
         std::fs::write(format!("{dir}/tables.json"), tables_to_json(&tables))
             .expect("write tables.json");

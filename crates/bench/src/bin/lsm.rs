@@ -29,6 +29,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rmdb_bench::Args;
 use rmdb_difffile::{LsmConfig, LsmStore, ScanStrategy};
 use rmdb_storage::FRAME_SIZE;
 use std::time::Instant;
@@ -187,18 +188,8 @@ fn run_cell(cell: Cell, scan_rounds: u32) -> CellResult {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut json = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => json = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = Args::parse(&["--smoke", "--json"], &[]);
+    let (smoke, json) = (args.flag("--smoke"), args.flag("--json"));
 
     let cells: &[Cell] = if smoke {
         &[Cell {

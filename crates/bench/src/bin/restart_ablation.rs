@@ -16,6 +16,7 @@
 //! byte-identity check across every K. This is what
 //! `scripts/verify.sh` gates on (`results/BENCH_replay.json`).
 
+use rmdb_bench::Args;
 use rmdb_core::export::{tables_to_json, tables_to_text};
 use rmdb_machine::ablations::{restart_time, restart_workload, restart_workload_cfg};
 use rmdb_restart::{restart, RedoScheduler, RestartConfig};
@@ -45,36 +46,14 @@ impl Rng {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut txns = DEFAULT_TXNS;
-    let mut out: Option<String> = None;
-    let mut replay_json: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--txns" => {
-                txns = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(DEFAULT_TXNS);
-                i += 1;
-            }
-            "--out" => {
-                out = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--replay-json" => {
-                replay_json = args.get(i + 1).cloned();
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+    let args = Args::parse(&[], &["--txns", "--out", "--replay-json"]);
+    let txns = args.parsed("--txns").unwrap_or(DEFAULT_TXNS);
+    let out = args.value("--out");
+    let replay_json = args.value("--replay-json");
 
     if let Some(path) = replay_json {
         let doc = replay_sweep();
-        std::fs::write(&path, &doc).expect("write replay sweep json");
+        std::fs::write(path, &doc).expect("write replay sweep json");
         eprintln!("wrote {path}");
         return;
     }
@@ -83,7 +62,7 @@ fn main() {
     let text = tables_to_text(&tables);
     print!("{text}");
     if let Some(dir) = out {
-        std::fs::create_dir_all(&dir).expect("create output dir");
+        std::fs::create_dir_all(dir).expect("create output dir");
         std::fs::write(format!("{dir}/restart_ablation.txt"), &text)
             .expect("write restart_ablation.txt");
         std::fs::write(

@@ -35,7 +35,7 @@
 //! verdict; `scripts/verify.sh` gates on zero conservation violations
 //! and `filedisk_recovery.identical == true`.
 
-use rmdb_bench::percentile_us;
+use rmdb_bench::{percentile_us, Args};
 use rmdb_exec::{ExecConfig, ExecDb, Executor};
 use rmdb_obs::Registry;
 use rmdb_storage::{BackendKind, Disk, NvmeConfig};
@@ -359,26 +359,9 @@ fn filedisk_recovery_audit(seeds: &[u64]) -> (bool, String) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut secs = 1.0f64;
-    let mut smoke = false;
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--secs" => {
-                secs = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(secs);
-                i += 1;
-            }
-            "--smoke" => smoke = true,
-            "--json" => json = true,
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let args = Args::parse(&["--smoke", "--json"], &["--secs"]);
+    let secs = args.parsed("--secs").unwrap_or(1.0f64);
+    let (smoke, json) = (args.flag("--smoke"), args.flag("--json"));
 
     let (backends, workers, streams, cell_secs): (&[Backend], &[usize], &[usize], f64) = if smoke {
         (

@@ -41,7 +41,7 @@
 //!   `results/BENCH_readmix.json`; exits non-zero on any
 //!   snapshot-consistency violation.
 
-use rmdb_bench::percentile_us;
+use rmdb_bench::{percentile_us, usage_error, Args};
 use rmdb_exec::{ExecConfig, ExecDb, Executor};
 use rmdb_obs::Registry;
 use rmdb_storage::{FaultInjector, FaultPlan};
@@ -803,88 +803,54 @@ fn run_readmix(pcts: &[u32], secs: f64, json: bool) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut secs = 1.0f64;
-    let mut smoke = false;
-    let mut json = false;
-    let mut obs_dump = false;
-    let mut kill: Option<KillSpec> = None;
-    let mut kill_streams: usize = 4;
-    let mut rejoin_at: Option<u64> = None;
-    let mut read_pcts: Option<Vec<u32>> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--secs" => {
-                secs = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(secs);
-                i += 1;
-            }
-            "--smoke" => smoke = true,
-            "--json" => json = true,
-            "--obs" => obs_dump = true,
-            "--kill-stream" => {
-                kill = args.get(i + 1).map(|s| {
-                    parse_kill_spec(s).unwrap_or_else(|| {
-                        eprintln!("bad --kill-stream spec {s:?} (want N or N@MS)");
-                        std::process::exit(2);
-                    })
-                });
-                if kill.is_none() {
-                    eprintln!("--kill-stream needs an argument (N or N@MS)");
-                    std::process::exit(2);
-                }
-                i += 1;
-            }
-            "--streams" => {
-                kill_streams = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 2)
+    let args = Args::parse(
+        &["--smoke", "--json", "--obs"],
+        &[
+            "--secs",
+            "--kill-stream",
+            "--streams",
+            "--rejoin-at",
+            "--read-pct",
+        ],
+    );
+    let mut secs = args.parsed("--secs").unwrap_or(1.0f64);
+    let (smoke, json, obs_dump) = (
+        args.flag("--smoke"),
+        args.flag("--json"),
+        args.flag("--obs"),
+    );
+    let kill = args.value("--kill-stream").map(|s| {
+        parse_kill_spec(s).unwrap_or_else(|| {
+            usage_error(format!("bad --kill-stream spec {s:?} (want N or N@MS)"))
+        })
+    });
+    let kill_streams: usize = match args.value("--streams") {
+        None => 4,
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n >= 2)
+            .unwrap_or_else(|| usage_error("--streams needs an integer argument >= 2")),
+    };
+    let rejoin_at: Option<u64> = args.value("--rejoin-at").map(|s| {
+        s.parse()
+            .unwrap_or_else(|_| usage_error("--rejoin-at needs a millisecond argument"))
+    });
+    let read_pcts: Option<Vec<u32>> = args.value("--read-pct").map(|s| {
+        s.split(',')
+            .map(|p| {
+                p.trim()
+                    .parse()
+                    .ok()
+                    .filter(|&v| v < 100)
                     .unwrap_or_else(|| {
-                        eprintln!("--streams needs an integer argument >= 2");
-                        std::process::exit(2);
-                    });
-                i += 1;
-            }
-            "--rejoin-at" => {
-                rejoin_at = Some(args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(
-                    || {
-                        eprintln!("--rejoin-at needs a millisecond argument");
-                        std::process::exit(2);
-                    },
-                ));
-                i += 1;
-            }
-            "--read-pct" => {
-                let parsed: Option<Vec<u32>> = args.get(i + 1).map(|s| {
-                    s.split(',')
-                        .map(|p| {
-                            p.trim()
-                                .parse()
-                                .ok()
-                                .filter(|&v| v < 100)
-                                .unwrap_or_else(|| {
-                                    eprintln!(
-                                        "bad --read-pct {p:?} (want 0..=99, comma-separated)"
-                                    );
-                                    std::process::exit(2);
-                                })
-                        })
-                        .collect()
-                });
-                read_pcts = match parsed {
-                    Some(v) if !v.is_empty() => Some(v),
-                    _ => {
-                        eprintln!("--read-pct needs an argument (e.g. 95 or 95,99)");
-                        std::process::exit(2);
-                    }
-                };
-                i += 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+                        usage_error(format!(
+                            "bad --read-pct {p:?} (want 0..=99, comma-separated)"
+                        ))
+                    })
+            })
+            .collect()
+    });
 
     if let Some(pcts) = read_pcts {
         std::process::exit(run_readmix(&pcts, secs, json));

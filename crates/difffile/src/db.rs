@@ -19,7 +19,7 @@ use crate::tuple::{read_entries, write_entries, Entry, Tuple};
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
     read_page_retry, write_page_verified, BackendKind, Disk, Page, PageId, StorageError,
-    PAYLOAD_SIZE,
+    IO_RETRIES, PAYLOAD_SIZE,
 };
 use std::collections::HashMap;
 
@@ -28,8 +28,6 @@ pub type TxnId = u64;
 
 /// Committed transactions per commit-list frame.
 const COMMITS_PER_FRAME: usize = (PAYLOAD_SIZE - 4) / 8;
-/// Bounded retry budget for riding through transient device faults.
-const IO_RETRIES: u32 = 4;
 
 /// Query-processing strategy (paper §4.3: *basic* vs *optimal*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

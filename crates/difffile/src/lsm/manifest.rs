@@ -27,10 +27,10 @@
 //! reclaim reporting): the free-space map itself is always derived as
 //! arena − live runs, never read from disk.
 
-use rmdb_storage::{Page, PageId, StorageError};
+use rmdb_storage::{read_page_counted, write_page_counted, Page, PageId, StorageError, IO_RETRIES};
 
 use super::codec::{get_u32, get_u64, put_u32, put_u64};
-use super::io::{self, IoCounters};
+use super::IoCounters;
 use super::LsmConfig;
 use rmdb_storage::Disk;
 
@@ -265,7 +265,7 @@ pub(crate) fn write(
     }
     let mut page = Page::new(PageId(addr));
     page.write_at(0, &payload);
-    io::write_verified(disk, ctrs, addr, &page)?;
+    write_page_counted(disk, addr, &page, IO_RETRIES, &mut ctrs.write_retries)?;
     disk.force()
 }
 
@@ -275,7 +275,7 @@ pub(crate) fn read_best(disk: &Disk, ctrs: &mut IoCounters, cfg: &LsmConfig) -> 
     let mut best: Option<Manifest> = None;
     for slot in 0..2u64 {
         let addr = cfg.manifest_addr(slot);
-        let Ok(page) = io::read_retry(disk, ctrs, addr) else {
+        let Ok(page) = read_page_counted(disk, addr, IO_RETRIES, &mut ctrs.read_retries) else {
             continue;
         };
         let Some(m) = decode(page.payload()) else {

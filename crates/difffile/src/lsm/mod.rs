@@ -34,7 +34,6 @@
 //! exactly as they exercise the commit path.
 
 mod codec;
-mod io;
 mod maintenance;
 mod manifest;
 mod run;
@@ -46,9 +45,19 @@ pub use store::{LsmImage, LsmRecoveryReport, LsmStore};
 
 use rmdb_storage::{BackendKind, StorageError};
 
-/// I/O retry budget for verified writes and retried reads (same budget
-/// as [`crate::DiffDb`]).
-pub(crate) const IO_RETRIES: u32 = 4;
+/// Retry tallies shared by every I/O path in the store: foreground
+/// commits and background maintenance count into one set (through
+/// [`rmdb_storage::write_page_counted`] / [`rmdb_storage::read_page_counted`]),
+/// which is what lets the fault sweep assert that a plan observed by the
+/// compactor thread produces the same retry accounting as the same plan
+/// observed by a foreground flush.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct IoCounters {
+    /// Write+verify rounds beyond the first.
+    pub write_retries: u64,
+    /// Read rounds beyond the first.
+    pub read_retries: u64,
+}
 
 /// Configuration for [`LsmStore`].
 ///

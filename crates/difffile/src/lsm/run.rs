@@ -8,11 +8,14 @@
 
 use std::collections::BTreeMap;
 
-use rmdb_storage::{Disk, Page, PageId, StorageError, PAYLOAD_SIZE};
+use rmdb_storage::{
+    read_page_counted, write_page_counted, Disk, Page, PageId, StorageError, IO_RETRIES,
+    PAYLOAD_SIZE,
+};
 
 use super::codec::{self, LsmEntry, LsmOp};
-use super::io::{self, IoCounters};
 use super::manifest::RunDesc;
+use super::IoCounters;
 
 /// Encode sorted `entries` into per-frame chunks. `None` if a single
 /// entry overflows a frame.
@@ -29,7 +32,7 @@ pub(crate) fn write_chunk(
 ) -> Result<(), StorageError> {
     let mut page = Page::new(PageId(addr));
     page.write_at(0, chunk);
-    io::write_verified(disk, ctrs, addr, &page)
+    write_page_counted(disk, addr, &page, IO_RETRIES, &mut ctrs.write_retries)
 }
 
 /// Read a whole run back as its sorted entry list.
@@ -41,7 +44,7 @@ pub(crate) fn read_run(
     let mut out = Vec::with_capacity(desc.entries as usize);
     for i in 0..desc.frames {
         let addr = desc.start + i;
-        let page = io::read_retry(disk, ctrs, addr)?;
+        let page = read_page_counted(disk, addr, IO_RETRIES, &mut ctrs.read_retries)?;
         let chunk = codec::decode_chunk(page.payload()).ok_or(StorageError::Corrupt { addr })?;
         out.extend(chunk);
     }
@@ -57,7 +60,7 @@ pub(crate) fn lookup_run(
 ) -> Result<Option<LsmEntry>, StorageError> {
     for i in 0..desc.frames {
         let addr = desc.start + i;
-        let page = io::read_retry(disk, ctrs, addr)?;
+        let page = read_page_counted(disk, addr, IO_RETRIES, &mut ctrs.read_retries)?;
         let chunk = codec::decode_chunk(page.payload()).ok_or(StorageError::Corrupt { addr })?;
         if let Some(first) = chunk.first() {
             if first.key > key {

@@ -7,13 +7,15 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rmdb_obs::{Counter, EventKind, Gauge, Histogram, Registry};
-use rmdb_storage::{Disk, FaultHandle, Page, PageId, StorageError, PAYLOAD_SIZE};
+use rmdb_storage::{
+    read_page_counted, write_page_counted, Disk, FaultHandle, Page, PageId, StorageError,
+    IO_RETRIES, PAYLOAD_SIZE,
+};
 
 use super::codec::{self, get_u32, get_u64, put_u32, put_u64, LsmEntry, LsmOp};
-use super::io::IoCounters;
 use super::maintenance;
 use super::manifest::{self, Extent, Manifest, RunDesc};
-use super::{io, run, CrashSite, LsmConfig, LsmError, LsmStats};
+use super::{run, CrashSite, IoCounters, LsmConfig, LsmError, LsmStats};
 use crate::ScanStrategy;
 
 /// Journal frame header: `[gen u64][batch u64][idx u32][total u32]`.
@@ -723,7 +725,13 @@ fn commit_write(
         payload.extend_from_slice(chunk);
         let mut page = Page::new(PageId(addr));
         page.write_at(0, &payload);
-        io::write_verified(&mut st.disk, &mut st.ctrs, addr, &page)?;
+        write_page_counted(
+            &mut st.disk,
+            addr,
+            &page,
+            IO_RETRIES,
+            &mut st.ctrs.write_retries,
+        )?;
         st.stats.journal_frames_written += 1;
     }
     st.disk.force()?;
@@ -753,7 +761,7 @@ fn read_journal_frame(
     ctrs: &mut IoCounters,
     addr: u64,
 ) -> Option<(JournalHdr, Vec<LsmEntry>)> {
-    let page = io::read_retry(disk, ctrs, addr).ok()?;
+    let page = read_page_counted(disk, addr, IO_RETRIES, &mut ctrs.read_retries).ok()?;
     let b = page.payload();
     let mut off = 0usize;
     let gen = get_u64(b, &mut off)?;

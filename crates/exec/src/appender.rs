@@ -28,7 +28,7 @@
 //!   modeled device delay — so a frozen heartbeat means one device I/O
 //!   is wedged, not merely that a batch is long or the device slow;
 //! * a **sticky storage error**: stream appends/forces go through
-//!   [`rmdb_wal::stream::IO_RETRIES`] bounded retries internally, so an
+//!   [`rmdb_storage::IO_RETRIES`] bounded retries internally, so an
 //!   error surfacing here is post-retry and classified *persistent*;
 //! * a **vault**: the thread deposits its [`LogStream`] into a shared
 //!   slot on every exit path — including panic unwind — so the durable

@@ -22,6 +22,13 @@
 //! blocking wait on another worker; waits on the appender threads are
 //! safe because appenders never take engine locks.
 //!
+//! The write vocabulary — fragments and their undo entries,
+//! compensations, deferred command capture, the adaptive logging decision
+//! and the doublewrite home write — comes from [`rmdb_wal::txnlog`], the
+//! same code [`rmdb_wal::WalDb`] runs; this module keeps what really
+//! differs: locking, routing, tickets, failover, pin budgets and the
+//! sharded pool.
+//!
 //! ## Commit-ordering invariant
 //!
 //! A transaction's `Commit` record is appended to its home stream only
@@ -77,17 +84,18 @@ use rmdb_mvcc::{Mvcc, Snapshot};
 use rmdb_obs::{Counter, EventKind, Histogram, MetricsSnapshot, Registry};
 use rmdb_storage::Lsn;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, Disk, FaultHandle, FaultInjector, FaultPlan, Page,
-    PageId, ShardedPool, StorageError, PAYLOAD_SIZE,
+    read_page_retry, Disk, FaultHandle, FaultInjector, FaultPlan, Page, PageId, ShardedPool,
+    StorageError, IO_RETRIES, PAYLOAD_SIZE,
 };
-use rmdb_wal::db::{LogMode, LoggingPolicy, WalConfig};
+use rmdb_wal::db::{LoggingPolicy, WalConfig};
 use rmdb_wal::lock::LockMode;
-use rmdb_wal::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
+use rmdb_wal::record::LogRecord;
 use rmdb_wal::scheduler::{Decision, Scheduler, WaitStats};
 use rmdb_wal::select::Selector;
-use rmdb_wal::stream::{LogStream, IO_RETRIES};
+use rmdb_wal::stream::LogStream;
+use rmdb_wal::txnlog::{self, Capture, UndoEntry};
 use rmdb_wal::{Backoff, CrashImage, WalError};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -298,16 +306,6 @@ impl WaitTable {
     }
 }
 
-/// An undone-able update. Travels with the transaction: worker-local
-/// while the body runs, handed to the group-commit daemon at submit so a
-/// commit that fails mid-batch can be rolled back daemon-side.
-pub(crate) struct UndoEntry {
-    page: PageId,
-    offset: u32,
-    before: Vec<u8>,
-    new_lsn: Lsn,
-}
-
 /// One not-yet-committed fragment, retained so failover can re-append it
 /// to a surviving stream if its original stream dies. Fragments at or
 /// below the dead stream's durable high-water ticket never move — their
@@ -319,29 +317,6 @@ struct PendingFrag {
     rec: LogRecord,
 }
 
-/// Deferred-capture state for a transaction running under
-/// [`LoggingPolicy::Command`] or [`LoggingPolicy::Adaptive`]: nothing is
-/// appended while the body runs. The fragments each write *would* have
-/// appended are retained for a possible commit-time spill, the logical
-/// ops for the command record, and every written page is pinned in the
-/// pool so the steal-policy flusher can never put un-logged bytes on the
-/// data disk. Deferred losers log nothing at all.
-#[derive(Default)]
-struct ExecDeferred {
-    /// Retained after-image fragments, in write order (the spill path).
-    frags: Vec<(PageId, LogRecord)>,
-    /// Logical ops, in execution order (the command-record path).
-    ops: Vec<LogicalOp>,
-    /// Distinct written pages, each holding one pool pin.
-    pages: BTreeSet<PageId>,
-    /// Pages read under shared locks — the command record's read set,
-    /// which the replay DAG turns into write→read precedence edges.
-    reads: BTreeSet<PageId>,
-    /// Encoded bytes the retained fragments would cost: the physical
-    /// side of the commit-time cost comparison.
-    phys_bytes: usize,
-}
-
 /// An in-flight transaction, owned by the worker driving it.
 pub struct Txn {
     id: u64,
@@ -349,12 +324,19 @@ pub struct Txn {
     home: usize,
     /// Per-stream high-water fragment tickets.
     tickets: HashMap<usize, u64>,
+    /// Undo chain. It travels with the transaction: worker-local while
+    /// the body runs, handed to the group-commit daemon at submit so a
+    /// commit that fails mid-batch can be rolled back daemon-side.
     undo: Vec<UndoEntry>,
     /// Volatile fragments, kept for failover rerouting.
     pending: Vec<PendingFrag>,
-    /// Deferred-capture state; `Some` exactly while the logging policy
-    /// is still deciding (a spill resets it to `None` for good).
-    deferred: Option<ExecDeferred>,
+    /// Deferred capture under [`LoggingPolicy::Command`] /
+    /// [`LoggingPolicy::Adaptive`]: nothing is appended while the body
+    /// runs, and every written page stays pinned so the steal-policy
+    /// flusher can never put un-logged bytes on the data disk. `Some`
+    /// exactly while the logging policy is still deciding (a spill resets
+    /// it to `None` for good).
+    deferred: Option<Capture>,
 }
 
 impl Txn {
@@ -1000,15 +982,8 @@ impl Inner {
             }
         }
         let mut data = lock_ok(&self.data);
-        let wal = &self.cfg.wal;
-        if wal.dw_slots > 0 {
-            let slot = wal.data_pages + data.dw_cursor % wal.dw_slots;
-            data.dw_cursor += 1;
-            write_page_verified(&mut data.disk, slot, page, IO_RETRIES).map_err(ExecError::from)?;
-        }
-        write_page_verified(&mut data.disk, page.id.0, page, IO_RETRIES)
-            .map_err(ExecError::from)?;
-        Ok(())
+        let DataState { disk, dw_cursor } = &mut *data;
+        txnlog::write_home(disk, &self.cfg.wal, dw_cursor, page).map_err(ExecError::from)
     }
 
     /// Move `txn` off any quarantined stream: re-pick its home and
@@ -1073,25 +1048,9 @@ impl Inner {
             let app = self.appenders.get(s);
             let target = self.appenders.get(new_home);
             for frag in txn.pending.iter_mut().filter(|f| f.stream == s) {
-                if !app.orphaned(frag.seq) {
-                    continue;
+                if app.orphaned(frag.seq) {
+                    self.move_fragment(txn.id, frag, new_home, &target, &rerouted)?;
                 }
-                let new_seq = target.append(frag.rec.clone())?;
-                let mut shard = self.shards.lock(frag.page);
-                if shard.meta.get(&frag.page) == Some(&(s, frag.seq)) {
-                    shard.meta.insert(frag.page, (new_home, new_seq));
-                }
-                drop(shard);
-                self.obs.emit(
-                    EventKind::FragmentRerouted,
-                    txn.id,
-                    new_home as u64,
-                    frag.page.0,
-                    s as u64,
-                );
-                rerouted.inc();
-                frag.stream = new_home;
-                frag.seq = new_seq;
             }
             match txn
                 .pending
@@ -1128,27 +1087,9 @@ impl Inner {
                 .iter_mut()
                 .filter(|f| f.stream == s && f.seq > forced)
             {
-                let new_seq = target.append(frag.rec.clone())?;
-                // Re-pin the page's WAL-rule entry — but only if it still
-                // names the fragment we just moved; a newer fragment (or
-                // a CLR) may have superseded it.
-                let mut shard = self.shards.lock(frag.page);
-                if shard.meta.get(&frag.page) == Some(&(s, frag.seq)) {
-                    shard.meta.insert(frag.page, (new_home, new_seq));
-                }
-                drop(shard);
+                self.move_fragment(txn.id, frag, new_home, &target, &rerouted)?;
                 let high = txn.tickets.entry(new_home).or_insert(0);
-                *high = (*high).max(new_seq);
-                self.obs.emit(
-                    EventKind::FragmentRerouted,
-                    txn.id,
-                    new_home as u64,
-                    frag.page.0,
-                    s as u64,
-                );
-                rerouted.inc();
-                frag.stream = new_home;
-                frag.seq = new_seq;
+                *high = (*high).max(frag.seq);
             }
             // The durable prefix is already forced: clamp the ticket so
             // the commit-time force against the dead stream resolves via
@@ -1167,14 +1108,49 @@ impl Inner {
         Ok(())
     }
 
-    /// Roll back and release: compensations, lock release, abort count.
-    /// Used by the worker abort path and by the daemon when a batch
-    /// member's commit fails (the worker no longer owns the undo chain
-    /// by then — it travelled with the [`CommitReq`]).
-    pub(crate) fn undo_and_release(&self, txn_id: u64, home: usize, undo: Vec<UndoEntry>) {
+    /// Re-append `frag` of transaction `txn_id` to stream `to` (served by
+    /// `target`) under a fresh ticket, re-pinning its page's WAL-rule
+    /// entry — but only if that still names the copy being moved; a newer
+    /// fragment (or a CLR) may have superseded it.
+    fn move_fragment(
+        &self,
+        txn_id: u64,
+        frag: &mut PendingFrag,
+        to: usize,
+        target: &LogAppender,
+        rerouted: &Counter,
+    ) -> Result<(), ExecError> {
+        let new_seq = target.append(frag.rec.clone())?;
+        let mut shard = self.shards.lock(frag.page);
+        if shard.meta.get(&frag.page) == Some(&(frag.stream, frag.seq)) {
+            shard.meta.insert(frag.page, (to, new_seq));
+        }
+        drop(shard);
+        let (page, from) = (frag.page.0, frag.stream as u64);
+        self.obs
+            .emit(EventKind::FragmentRerouted, txn_id, to as u64, page, from);
+        rerouted.inc();
+        frag.stream = to;
+        frag.seq = new_seq;
+        Ok(())
+    }
+
+    /// Roll back and release: compensations, lock release, abort count,
+    /// then drop the deferred-capture pins on `unpin`. Used by the worker
+    /// abort path and by the daemon when a batch member's commit fails
+    /// (the worker no longer owns the undo chain by then — it travelled
+    /// with the [`CommitReq`]).
+    pub(crate) fn undo_and_release(
+        &self,
+        txn_id: u64,
+        home: usize,
+        undo: Vec<UndoEntry>,
+        unpin: &[PageId],
+    ) {
         self.undo_apply(txn_id, home, undo);
         self.release_locks(txn_id);
         self.stats.aborted.fetch_add(1, Ordering::Relaxed);
+        self.unpin_pages(unpin);
     }
 
     /// Walk the undo chain backwards, logging a compensation per undone
@@ -1191,14 +1167,7 @@ impl Inner {
         };
         for entry in undo.drain(..).rev() {
             let clr_lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
-            let rec = LogRecord::Compensation {
-                txn: txn_id,
-                page: entry.page,
-                undoes: entry.new_lsn,
-                new_lsn: clr_lsn,
-                offset: entry.offset,
-                data: entry.before.clone(),
-            };
+            let rec = entry.compensation(txn_id, clr_lsn);
             let mut appended: Option<(usize, u64)> = None;
             while let Some(s) = clr_stream {
                 match self.appenders.get(s).append(rec.clone()) {
@@ -1224,7 +1193,7 @@ impl Inner {
                 shard.meta.insert(entry.page, (s, seq));
             }
             if let Some(p) = shard.pool.get_mut(entry.page) {
-                p.write_at(entry.offset as usize, &entry.before);
+                entry.restore(p);
                 if appended.is_some() {
                     p.lsn = clr_lsn;
                 }
@@ -1431,7 +1400,7 @@ impl ExecDb {
         let deferred = if self.inner.cfg.wal.logging == LoggingPolicy::Fragments {
             None
         } else {
-            Some(ExecDeferred::default())
+            Some(Capture::default())
         };
         Txn {
             id,
@@ -1525,11 +1494,11 @@ impl ExecDb {
         let id = PageId(page);
         self.lock_page(txn.id, id, LockMode::Shared)?;
         if let Some(d) = txn.deferred.as_mut() {
-            d.reads.insert(id);
+            d.note_read(id);
         }
         let mut shard = self.inner.shards.lock(id);
         if let Err(e) = self.inner.ensure_resident(&mut shard, id) {
-            let self_pinned = txn.deferred.as_ref().is_some_and(|d| !d.pages.is_empty());
+            let self_pinned = txn.deferred.as_ref().is_some_and(|d| !d.is_empty());
             if !is_pool_exhausted(&e) || !self_pinned {
                 return Err(e);
             }
@@ -1566,15 +1535,13 @@ impl ExecDb {
         self.check_bounds(page, offset, data.len())?;
         let id = PageId(page);
         self.lock_page(txn.id, id, LockMode::Exclusive)?;
-        if txn.deferred.is_some() && self.write_deferred(txn, id, offset, data, None)? {
-            return Ok(());
-        }
-        self.write_physical(txn, id, offset, data)
+        self.write_op(txn, id, offset, data, None)
     }
 
     /// Add `delta` (wrapping) to the little-endian u64 at `offset` of
     /// `page` under an exclusive lock. Under deferred capture the
-    /// increment is recorded as a [`LogicalOp::AddU64`] — 29 bytes on the
+    /// increment is recorded as a
+    /// [`LogicalOp::AddU64`](rmdb_wal::record::LogicalOp::AddU64) — 29 bytes on the
     /// command record no matter how large the page — making hot-counter
     /// transactions the textbook win for command logging; otherwise it is
     /// an ordinary read-modify-write fragment.
@@ -1596,109 +1563,80 @@ impl ExecDb {
             cur.copy_from_slice(p.read_at(offset, 8));
             u64::from_le_bytes(cur).wrapping_add(delta)
         };
-        let data = next.to_le_bytes();
-        if txn.deferred.is_some() && self.write_deferred(txn, id, offset, &data, Some(delta))? {
-            return Ok(());
-        }
-        self.write_physical(txn, id, offset, &data)
+        self.write_op(txn, id, offset, &next.to_le_bytes(), Some(delta))
     }
 
-    /// Deferred-capture write: no append — retain the fragment the
-    /// immediate path would have logged, record the logical op, pin the
-    /// page on first touch, and apply the bytes. Returns `Ok(false)` when
-    /// the capture was abandoned instead (pin budget or pool pressure →
-    /// the transaction spilled to fragments); the caller then writes
-    /// through the immediate path.
-    fn write_deferred(
+    /// The one write path behind [`ExecDb::write`] and
+    /// [`ExecDb::add_u64`] (`delta` is `Some` for an increment). A
+    /// deferred transaction retains the fragment, records the logical op
+    /// and pins the page on first touch — unless its pin budget or a
+    /// starved shard makes it spill to fragments first. Otherwise the
+    /// fragment ships to the transaction's routed stream, and the write
+    /// is applied together with its ticket under one shard lock.
+    fn write_op(
         &self,
         txn: &mut Txn,
         id: PageId,
         offset: usize,
         data: &[u8],
         delta: Option<u64>,
-    ) -> Result<bool, ExecError> {
+    ) -> Result<(), ExecError> {
         // Pin budget: a deferred transaction must never pin a whole pool
         // shard solid, or its own next page could find nothing to evict.
-        // Conservative (all pins could hash to one shard), like the
-        // deferred engine's frame guard.
+        // Conservative (all pins could hash to one shard).
         let per_shard = (self.inner.cfg.wal.pool_frames / self.inner.cfg.pool_shards.max(1)).max(1);
         let budget = per_shard.saturating_sub(1).max(1);
-        {
-            let d = txn.deferred.as_ref().expect("deferred capture armed");
-            if !d.pages.contains(&id) && d.pages.len() + 1 > budget {
-                self.spill_deferred(txn)?;
-                return Ok(false);
-            }
+        if (txn.deferred.as_ref()).is_some_and(|d| d.pins_after(id) > budget) {
+            self.spill_deferred(txn)?;
         }
         let mut shard = self.inner.shards.lock(id);
         if let Err(e) = self.inner.ensure_resident(&mut shard, id) {
-            if !is_pool_exhausted(&e) {
+            if txn.deferred.is_none() || !is_pool_exhausted(&e) {
                 return Err(e);
             }
-            // shard starved (possibly by our own pins): spill and let the
-            // immediate path — which can now evict — take this write
+            // shard starved (possibly by our own pins): spill and take
+            // the immediate path, which can now evict
             drop(shard);
             self.spill_deferred(txn)?;
-            return Ok(false);
+            shard = self.inner.shards.lock(id);
+            self.inner.ensure_resident(&mut shard, id)?;
         }
-        let p = shard.pool.get(id).expect("resident page");
-        let prev_lsn = p.lsn;
+        // pre-image under the shard lock (the X lock pins the content)
         let new_lsn = Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
-        let (frag_offset, before, after) = match self.inner.cfg.wal.log_mode {
-            LogMode::Logical => (
-                offset as u32,
-                p.read_at(offset, data.len()).to_vec(),
-                data.to_vec(),
-            ),
-            LogMode::Physical => {
-                let before = p.payload().to_vec();
-                let mut after = before.clone();
-                after[offset..offset + data.len()].copy_from_slice(data);
-                (0, before, after)
+        let p = shard.pool.get(id).expect("resident page");
+        let mode = self.inner.cfg.wal.log_mode;
+        let (rec, undo) = txnlog::fragment(mode, txn.id, p, offset, data, new_lsn);
+        if let Some(d) = txn.deferred.as_mut() {
+            // a spill routes by the transaction's home stream, not by qp
+            if d.push(0, rec, txnlog::logical_op(id, new_lsn, offset, data, delta)) {
+                // first touch: pin, so the steal-policy flusher can never
+                // evict a page whose only log coverage is transaction-local
+                shard.pool.pin(id);
             }
-        };
-        let rec = LogRecord::Update {
-            txn: txn.id,
-            page: id,
-            prev_lsn,
-            new_lsn,
-            offset: frag_offset,
-            before: before.clone(),
-            after,
-        };
-        let op = match delta {
-            Some(dv) => LogicalOp::AddU64 {
+            txn.undo.push(undo);
+        } else {
+            // ship the fragment to this txn's home log processor, routing
+            // around streams that die mid-transaction
+            drop(shard);
+            let (stream, seq) = self.append_routed(txn, &rec)?;
+            let high = txn.tickets.entry(stream).or_insert(0);
+            *high = (*high).max(seq);
+            txn.undo.push(undo);
+            txn.pending.push(PendingFrag {
+                stream,
+                seq,
                 page: id,
-                lsn: new_lsn,
-                offset: offset as u32,
-                delta: dv,
-            },
-            None => LogicalOp::Put {
-                page: id,
-                lsn: new_lsn,
-                offset: offset as u32,
-                data: data.to_vec(),
-            },
-        };
-        let d = txn.deferred.as_mut().expect("deferred capture armed");
-        if d.pages.insert(id) {
-            // first touch: pin, so the steal-policy flusher can never
-            // evict a page whose only log coverage is transaction-local
-            shard.pool.pin(id);
+                rec,
+            });
+            // apply + publish the ticket atomically w.r.t. the flusher
+            shard = self.inner.shards.lock(id);
+            self.inner.ensure_resident(&mut shard, id)?;
+            shard.meta.insert(id, (stream, seq));
         }
-        d.phys_bytes += rec.encoded_len();
-        d.frags.push((id, rec));
-        d.ops.push(op);
-        txn.undo.push(UndoEntry {
-            page: id,
-            offset: frag_offset,
-            before,
-            new_lsn,
-        });
-        let page = shard.pool.get_mut(id).expect("resident page");
-        page.write_at(offset, data);
-        page.lsn = new_lsn;
-        Ok(true)
+        let p = shard.pool.get_mut(id).expect("resident page");
+        p.write_at(offset, data);
+        p.lsn = new_lsn;
+        Ok(())
     }
 
     /// Append `rec` to the transaction's home stream, routing around
@@ -1743,136 +1681,25 @@ impl ExecDb {
         let Some(d) = txn.deferred.take() else {
             return Ok(());
         };
-        debug_assert_eq!(
-            txn.undo.len(),
-            d.frags.len(),
-            "one undo entry per deferred write"
-        );
-        if !d.frags.is_empty() {
+        if !d.is_empty() {
             self.inner.obs.counter("wal.deferred_spills").inc();
         }
-        let mut out = Ok(());
-        for (i, (id, rec)) in d.frags.into_iter().enumerate() {
-            match self.append_routed(txn, &rec) {
-                Ok((stream, seq)) => {
-                    let high = txn.tickets.entry(stream).or_insert(0);
-                    *high = (*high).max(seq);
-                    txn.pending.push(PendingFrag {
-                        stream,
-                        seq,
-                        page: id,
-                        rec,
-                    });
-                    let mut shard = self.inner.shards.lock(id);
-                    shard.meta.insert(id, (stream, seq));
-                }
-                Err(e) => {
-                    // nothing from this write on reached a log: revert
-                    // those writes in memory (reverse order) and forget
-                    // their undo entries, so rollback never compensates
-                    // an update no log stream has heard of
-                    let tail = txn.undo.split_off(i);
-                    for entry in tail.iter().rev() {
-                        let mut shard = self.inner.shards.lock(entry.page);
-                        if let Some(p) = shard.pool.get_mut(entry.page) {
-                            p.write_at(entry.offset as usize, &entry.before);
-                        }
-                    }
-                    out = Err(e);
-                    break;
-                }
-            }
-        }
-        let pages: Vec<PageId> = d.pages.into_iter().collect();
-        self.inner.unpin_pages(&pages);
-        out
-    }
-
-    /// The immediate (fragments) write path: log the after-image
-    /// fragment, then apply in the buffer pool.
-    fn write_physical(
-        &self,
-        txn: &mut Txn,
-        id: PageId,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), ExecError> {
-        // pre-image under the shard lock (X lock pins the content)
-        let (rec, undo_entry, new_lsn) = {
-            let mut shard = self.inner.shards.lock(id);
-            self.inner.ensure_resident(&mut shard, id)?;
-            let p = shard.pool.get(id).expect("resident page");
-            let prev_lsn = p.lsn;
-            let new_lsn = Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
-            match self.inner.cfg.wal.log_mode {
-                LogMode::Logical => {
-                    let before = p.read_at(offset, data.len()).to_vec();
-                    (
-                        LogRecord::Update {
-                            txn: txn.id,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: offset as u32,
-                            before: before.clone(),
-                            after: data.to_vec(),
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: offset as u32,
-                            before,
-                            new_lsn,
-                        },
-                        new_lsn,
-                    )
-                }
-                LogMode::Physical => {
-                    let before = p.payload().to_vec();
-                    let mut after = before.clone();
-                    after[offset..offset + data.len()].copy_from_slice(data);
-                    (
-                        LogRecord::Update {
-                            txn: txn.id,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: 0,
-                            before: before.clone(),
-                            after,
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: 0,
-                            before,
-                            new_lsn,
-                        },
-                        new_lsn,
-                    )
-                }
-            }
-        };
-
-        // ship the fragment to this txn's home log processor, routing
-        // around streams that die mid-transaction
-        let (stream, seq) = self.append_routed(txn, &rec)?;
-        let high = txn.tickets.entry(stream).or_insert(0);
-        *high = (*high).max(seq);
-        txn.undo.push(undo_entry);
-        txn.pending.push(PendingFrag {
-            stream,
-            seq,
-            page: id,
-            rec,
+        let mut undo = std::mem::take(&mut txn.undo);
+        let out = d.spill(&mut &self.inner.shards, &mut undo, |_, id, rec| {
+            let (stream, seq) = self.append_routed(txn, &rec)?;
+            let high = txn.tickets.entry(stream).or_insert(0);
+            *high = (*high).max(seq);
+            txn.pending.push(PendingFrag {
+                stream,
+                seq,
+                page: id,
+                rec,
+            });
+            self.inner.shards.lock(id).meta.insert(id, (stream, seq));
+            Ok(())
         });
-
-        // apply + publish the ticket atomically w.r.t. the flusher
-        let mut shard = self.inner.shards.lock(id);
-        self.inner.ensure_resident(&mut shard, id)?;
-        shard.meta.insert(id, (stream, seq));
-        let p = shard.pool.get_mut(id).expect("resident page");
-        p.write_at(offset, data);
-        p.lsn = new_lsn;
-        Ok(())
+        txn.undo = undo;
+        out
     }
 
     /// Commit: submit to the group-commit daemon and return a handle the
@@ -1885,7 +1712,7 @@ impl ExecDb {
     pub fn commit(&self, mut txn: Txn) -> Result<CommitHandle, ExecError> {
         let timeout = Duration::from_millis(self.inner.cfg.commit_timeout_ms.max(1));
         let (reply, rx) = sync_channel(1);
-        if txn.tickets.is_empty() && txn.deferred.as_ref().is_none_or(|d| d.ops.is_empty()) {
+        if txn.tickets.is_empty() && txn.deferred.as_ref().is_none_or(Capture::is_empty) {
             // read-only fast path: nothing to force — and no ack counter,
             // so `txn.commits_acked` stays paired with the daemon's
             // `group.completions`
@@ -1902,14 +1729,14 @@ impl ExecDb {
             Err(e) => {
                 // the spill failed; it already reverted the un-appended
                 // suffix and dropped the pins — roll back what was logged
-                self.inner.undo_and_release(txn.id, txn.home, txn.undo);
+                self.inner.undo_and_release(txn.id, txn.home, txn.undo, &[]);
                 return Err(e);
             }
         };
         if let Err(e) = self.inner.reroute_if_needed(&mut txn) {
             self.inner.note_appender_failure(&e);
-            self.inner.undo_and_release(txn.id, txn.home, txn.undo);
-            self.inner.unpin_pages(&unpin);
+            self.inner
+                .undo_and_release(txn.id, txn.home, txn.undo, &unpin);
             return Err(e);
         }
         // capture page images for MVCC publication while this txn's X
@@ -1918,8 +1745,8 @@ impl ExecDb {
         let images = match self.inner.capture_images(&txn) {
             Ok(images) => images,
             Err(e) => {
-                self.inner.undo_and_release(txn.id, txn.home, txn.undo);
-                self.inner.unpin_pages(&unpin);
+                self.inner
+                    .undo_and_release(txn.id, txn.home, txn.undo, &unpin);
                 return Err(e);
             }
         };
@@ -1937,8 +1764,8 @@ impl ExecDb {
         let tx = self.commit_tx.as_ref().expect("pipeline running");
         if let Err(send_err) = tx.send(req) {
             let req = send_err.0;
-            self.inner.undo_and_release(req.txn, req.home, req.undo);
-            self.inner.unpin_pages(&req.unpin);
+            self.inner
+                .undo_and_release(req.txn, req.home, req.undo, &req.unpin);
             return Err(ExecError::Wal(WalError::Storage(StorageError::Protocol(
                 "group-commit daemon gone",
             ))));
@@ -1950,58 +1777,27 @@ impl ExecDb {
         ))
     }
 
-    /// Run the commit-time logging policy. For a deferred transaction:
+    /// Run the commit-time logging decision
+    /// ([`Capture::command_record`]). For a deferred transaction:
     /// command-log (return its [`LogRecord::Logical`] — the commit record
     /// — plus the pages to unpin once it is durable and the log bytes
     /// saved), or spill the retained fragments and commit physically.
-    /// Everything else commits with the plain `Commit` record. The
-    /// per-transaction decision is recorded in the frame
-    /// (`DECISION_FORCED` / `DECISION_COST`), so recovery needs no policy
-    /// configuration to replay.
+    /// Everything else commits with the plain `Commit` record.
     fn decide_commit(&self, txn: &mut Txn) -> Result<(LogRecord, Vec<PageId>, u64), ExecError> {
-        let commit = LogRecord::Commit { txn: txn.id };
-        let Some(d) = txn.deferred.as_ref() else {
-            return Ok((commit, Vec::new(), 0));
-        };
-        if d.ops.is_empty() {
-            let d = txn.deferred.take().expect("checked deferred");
-            return Ok((commit, d.pages.into_iter().collect(), 0));
-        }
-        let threshold = match self.inner.cfg.wal.logging {
-            LoggingPolicy::Command => None, // always command-log
-            LoggingPolicy::Adaptive { threshold_pct } => Some(threshold_pct),
-            LoggingPolicy::Fragments => {
-                // unreachable in practice — deferred capture is only
-                // armed under Command/Adaptive — but spilling is the
-                // correct fallback either way
-                self.spill_deferred(txn)?;
-                return Ok((commit, Vec::new(), 0));
-            }
-        };
-        let mut rec = LogRecord::Logical {
-            txn: txn.id,
-            commit_lsn: Lsn(0), // sized first; allocated only if kept
-            decision: if threshold.is_some() {
-                DECISION_COST
-            } else {
-                DECISION_FORCED
-            },
-            reads: d.reads.iter().copied().collect(),
-            ops: d.ops.clone(),
-        };
-        if let Some(pct) = threshold {
-            if rec.encoded_len() as u128 * 100 > u128::from(pct) * d.phys_bytes as u128 {
-                // the fragments are cheaper: spill and commit physically
-                self.spill_deferred(txn)?;
-                return Ok((commit, Vec::new(), 0));
+        let policy = self.inner.cfg.wal.logging;
+        let next_lsn = || Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
+        if let Some(d) = txn.deferred.as_ref() {
+            if let Some(rec) = d.command_record(txn.id, policy, next_lsn) {
+                let saved = (d.frag_bytes() as u64).saturating_sub(rec.encoded_len() as u64);
+                let pins = d.pins().to_vec();
+                txn.deferred = None;
+                return Ok((rec, pins, saved));
             }
         }
-        let d = txn.deferred.take().expect("checked deferred");
-        if let LogRecord::Logical { commit_lsn, .. } = &mut rec {
-            *commit_lsn = Lsn(self.inner.next_lsn.fetch_add(1, Ordering::Relaxed));
-        }
-        let bytes_saved = (d.phys_bytes as u64).saturating_sub(rec.encoded_len() as u64);
-        Ok((rec, d.pages.into_iter().collect(), bytes_saved))
+        // the fragments win (or nothing was deferred): spill them and
+        // commit physically
+        self.spill_deferred(txn)?;
+        Ok((LogRecord::Commit { txn: txn.id }, Vec::new(), 0))
     }
 
     /// Abort: walk the undo chain backwards, logging a compensation per
@@ -2013,23 +1809,16 @@ impl ExecDb {
     /// stream hears of it at all.
     pub fn abort(&self, txn: Txn) -> Result<(), ExecError> {
         if let Some(d) = txn.deferred {
-            for entry in txn.undo.iter().rev() {
-                let mut shard = self.inner.shards.lock(entry.page);
-                if let Some(p) = shard.pool.get_mut(entry.page) {
-                    // bytes only; the page LSN stays where the deferred
-                    // writes left it, matching the no-CLR undo rule —
-                    // advancing past it is safe because every later
-                    // durable record allocates a higher LSN
-                    p.write_at(entry.offset as usize, &entry.before);
-                }
-            }
-            let pages: Vec<PageId> = d.pages.into_iter().collect();
-            self.inner.unpin_pages(&pages);
+            // bytes only; the page LSN stays where the deferred writes
+            // left it, matching the no-CLR undo rule — advancing past it
+            // is safe because every later durable record allocates a
+            // higher LSN
+            d.discard(&mut &self.inner.shards, &txn.undo);
             self.inner.release_locks(txn.id);
             self.inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        self.inner.undo_and_release(txn.id, txn.home, txn.undo);
+        self.inner.undo_and_release(txn.id, txn.home, txn.undo, &[]);
         Ok(())
     }
 

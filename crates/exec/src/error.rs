@@ -19,7 +19,7 @@ pub enum AppenderError {
     /// stays in the fleet; the caller should back off and try again.
     Transient(StorageError),
     /// The stream's device failed after bounded in-stream retries
-    /// ([`rmdb_wal::stream::IO_RETRIES`]); the stream must be
+    /// ([`rmdb_storage::IO_RETRIES`]); the stream must be
     /// quarantined and its volatile fragments rerouted.
     Persistent(StorageError),
     /// The appender thread is gone — panicked (payload preserved) or its

@@ -27,12 +27,13 @@
 //! daemon. Each failure is also reported to the failover machinery,
 //! which quarantines the stream so retries route around it.
 
-use crate::db::{Inner, UndoEntry};
+use crate::db::Inner;
 use crate::error::ExecError;
 use crate::sync::lock_ok;
 use rmdb_obs::{Counter, EventKind};
 use rmdb_storage::PageId;
 use rmdb_wal::record::LogRecord;
+use rmdb_wal::txnlog::UndoEntry;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -190,8 +191,7 @@ pub(crate) fn run_daemon(
                 Err(e) => {
                     // roll the member back before its locks release, so
                     // no other transaction ever reads its dirty writes
-                    inner.undo_and_release(req.txn, req.home, req.undo);
-                    inner.unpin_pages(&req.unpin);
+                    inner.undo_and_release(req.txn, req.home, req.undo, &req.unpin);
                     let _ = req.reply.send(Err(e));
                 }
             }

@@ -23,11 +23,12 @@
 //! (un)committed transactions that must survive a crash" is exactly the
 //! set of live directories.
 
-use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId, IO_RETRIES};
+use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
 use crate::scratch::ScratchRing;
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, Lsn, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE,
+    read_page_retry, write_page_verified, Lsn, MemDisk, Page, PageId, StorageError, IO_RETRIES,
+    PAYLOAD_SIZE,
 };
 use std::collections::{BTreeMap, HashMap};
 

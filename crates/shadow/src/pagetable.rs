@@ -18,14 +18,12 @@
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
     read_page_retry, write_page_verified, BackendKind, Disk, Lsn, Page, PageId, StorageError,
-    PAYLOAD_SIZE,
+    IO_RETRIES, PAYLOAD_SIZE,
 };
 use std::collections::{BTreeMap, HashMap};
 
 /// Frame-address sentinel for "logical page never written".
 const FREE: u64 = u64::MAX;
-/// Bounded retry budget for riding through transient device faults.
-pub(crate) const IO_RETRIES: u32 = 4;
 /// Page-table entries per 4 KB page-table page (8-byte entries; the paper
 /// assumes 4-byte entries and quotes >1000 — same order of magnitude).
 pub const ENTRIES_PER_PT_PAGE: u64 = (PAYLOAD_SIZE / 8) as u64;

@@ -15,10 +15,10 @@
 //! the torn copy and selection falls back to the surviving shadow, which is
 //! exactly the recovery argument of Reuter's TWIST scheme the paper cites.
 
-use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId, IO_RETRIES};
+use crate::pagetable::{ExclusiveLocks, ShadowError, TxnId};
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, Lsn, MemDisk, Page, PageId, PAYLOAD_SIZE,
+    read_page_retry, write_page_verified, Lsn, MemDisk, Page, PageId, IO_RETRIES, PAYLOAD_SIZE,
 };
 use std::collections::{BTreeMap, HashMap};
 

@@ -487,6 +487,10 @@ impl FaultInjector {
     }
 }
 
+/// Bounded retry budget every engine uses to ride through transient
+/// device faults: [`read_page_retry`] and [`write_page_verified`] rounds.
+pub const IO_RETRIES: u32 = 4;
+
 /// Bounded deterministic retry for reads through transient faults.
 ///
 /// Retries [`StorageError::Io`] and [`StorageError::Corrupt`] up to
@@ -500,8 +504,22 @@ pub fn read_page_retry<D: crate::device::BlockDevice + ?Sized>(
     addr: u64,
     attempts: u32,
 ) -> Result<Page, StorageError> {
+    read_page_counted(disk, addr, attempts, &mut 0)
+}
+
+/// [`read_page_retry`] that adds every round beyond the first to
+/// `retried` — the count recovery, log scans and the LSM store report.
+pub fn read_page_counted<D: crate::device::BlockDevice + ?Sized>(
+    disk: &D,
+    addr: u64,
+    attempts: u32,
+    retried: &mut u64,
+) -> Result<Page, StorageError> {
     let mut last = StorageError::Io { addr };
-    for _ in 0..attempts.max(1) {
+    for attempt in 0..attempts.max(1) {
+        if attempt > 0 {
+            *retried += 1;
+        }
         match disk.read_page(addr) {
             Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. })) => last = e,
             other => return other,
@@ -523,8 +541,23 @@ pub fn write_page_verified<D: crate::device::BlockDevice + ?Sized>(
     page: &Page,
     attempts: u32,
 ) -> Result<(), StorageError> {
+    write_page_counted(disk, addr, page, attempts, &mut 0)
+}
+
+/// [`write_page_verified`] that adds every round beyond the first to
+/// `retried`.
+pub fn write_page_counted<D: crate::device::BlockDevice + ?Sized>(
+    disk: &mut D,
+    addr: u64,
+    page: &Page,
+    attempts: u32,
+    retried: &mut u64,
+) -> Result<(), StorageError> {
     let mut last = StorageError::Io { addr };
-    for _ in 0..attempts.max(1) {
+    for attempt in 0..attempts.max(1) {
+        if attempt > 0 {
+            *retried += 1;
+        }
         if let Err(e) = disk.write_page(addr, page) {
             last = e;
             if last == StorageError::Offline {

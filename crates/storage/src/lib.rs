@@ -36,8 +36,8 @@ pub use buffer::{BufferPool, EvictPolicy, Evicted, PoolShard, ShardStats, Sharde
 pub use device::{BackendKind, BlockDevice, Disk};
 pub use error::StorageError;
 pub use fault::{
-    read_page_retry, write_page_verified, FaultHandle, FaultInjector, FaultPlan, ReadFault,
-    WriteFault,
+    read_page_counted, read_page_retry, write_page_counted, write_page_verified, FaultHandle,
+    FaultInjector, FaultPlan, ReadFault, WriteFault, IO_RETRIES,
 };
 pub use filedisk::FileDisk;
 pub use memdisk::MemDisk;

@@ -16,14 +16,15 @@
 
 use crate::lock::{LockMode, LockTable};
 use crate::manager::{LogPos, ParallelLogManager};
-use crate::record::{LogRecord, LogicalOp, DECISION_COST, DECISION_FORCED};
+use crate::record::LogRecord;
 use crate::recovery;
 use crate::select::SelectionPolicy;
+use crate::txnlog::{self, Capture, UndoEntry};
 use rmdb_obs::Registry;
 use rmdb_storage::fault::FaultHandle;
 use rmdb_storage::{
-    read_page_retry, write_page_verified, BackendKind, BufferPool, Disk, EvictPolicy, Lsn, Page,
-    PageId, StorageError, PAYLOAD_SIZE,
+    read_page_retry, BackendKind, BufferPool, Disk, EvictPolicy, Lsn, Page, PageId, StorageError,
+    IO_RETRIES, PAYLOAD_SIZE,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -48,10 +49,10 @@ pub enum LogMode {
 /// [`Adaptive`](LoggingPolicy::Adaptive), writes are *deferred-captured*:
 /// nothing is appended while the transaction runs — its dirty pages are
 /// pinned in the pool (so STEAL cannot leak un-logged data to disk) and its
-/// fragments + logical ops are retained transaction-locally. At commit the
-/// engine either appends one [`LogRecord::Logical`] record (which doubles as
-/// the commit record) or *spills* the retained fragments and commits
-/// physically. Deferred transactions that abort log nothing at all.
+/// fragments + logical ops are retained in a [`txnlog::Capture`]. At commit
+/// the engine either appends one [`LogRecord::Logical`] record (which
+/// doubles as the commit record) or *spills* the retained fragments and
+/// commits physically. Deferred transactions that abort log nothing at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoggingPolicy {
     /// Always log physical after-image fragments as writes happen (the
@@ -190,37 +191,13 @@ pub struct Savepoint {
 }
 
 #[derive(Debug)]
-struct UndoEntry {
-    page: PageId,
-    offset: u32,
-    before: Vec<u8>,
-    new_lsn: Lsn,
-}
-
-/// Deferred capture for a [`LoggingPolicy::Command`]/`Adaptive` transaction:
-/// the fragments it *would* have appended (kept for a physical spill), the
-/// logical ops mirroring them one-to-one, and the pages it read. Each
-/// retained fragment holds one pin on its page in the buffer pool.
-#[derive(Debug, Default)]
-struct Deferred {
-    /// `(qp, fragment)` per write, in execution order — parallel to `undo`.
-    frags: Vec<(usize, LogRecord)>,
-    /// Logical op per write, in execution order — parallel to `frags`.
-    ops: Vec<LogicalOp>,
-    /// Pages read under shared locks (for replay-DAG edges).
-    reads: BTreeSet<PageId>,
-    /// Total encoded size of `frags` (the physical cost side).
-    phys_bytes: usize,
-}
-
-#[derive(Debug)]
 struct TxnState {
     home: usize,
     streams: BTreeSet<usize>,
     undo: Vec<UndoEntry>,
     /// `Some` while the transaction is deferred-captured; spilling to
     /// fragment mode takes it.
-    deferred: Option<Deferred>,
+    deferred: Option<Capture>,
 }
 
 /// The parallel-logging database engine.
@@ -326,7 +303,7 @@ impl WalDb {
         let home = self.log.pick_home(0, txn);
         let deferred = match self.cfg.logging {
             LoggingPolicy::Fragments => None,
-            LoggingPolicy::Command | LoggingPolicy::Adaptive { .. } => Some(Deferred::default()),
+            LoggingPolicy::Command | LoggingPolicy::Adaptive { .. } => Some(Capture::default()),
         };
         self.active.insert(
             txn,
@@ -372,12 +349,30 @@ impl WalDb {
         &self.pool
     }
 
-    fn check_bounds(&self, page: u64, offset: usize, len: usize) -> Result<(), WalError> {
+    /// Check `txn` may touch `len` bytes at `offset` of `page` and lock
+    /// the page in `mode`.
+    fn lock_range(
+        &mut self,
+        txn: TxnId,
+        page: u64,
+        offset: usize,
+        len: usize,
+        mode: LockMode,
+    ) -> Result<PageId, WalError> {
         if page >= self.cfg.data_pages || offset + len > PAYLOAD_SIZE {
-            Err(WalError::OutOfBounds { page, offset, len })
-        } else {
-            Ok(())
+            return Err(WalError::OutOfBounds { page, offset, len });
         }
+        if !self.active.contains_key(&txn) {
+            return Err(WalError::UnknownTxn(txn));
+        }
+        let id = PageId(page);
+        self.locks
+            .acquire(txn, id, mode)
+            .map_err(|c| WalError::LockConflict {
+                page: c.page,
+                holder: c.holder,
+            })?;
+        Ok(id)
     }
 
     /// Ensure `page` is resident; applies the WAL rule to any evicted
@@ -389,7 +384,7 @@ impl WalDb {
         let page = if self.data.is_allocated(id.0) {
             // bounded retry rides transient faults and read bit flips;
             // persistent corruption surfaces as a typed error
-            read_page_retry(&self.data, id.0, crate::stream::IO_RETRIES)?
+            read_page_retry(&self.data, id.0, IO_RETRIES)?
         } else {
             Page::new(id)
         };
@@ -404,10 +399,8 @@ impl WalDb {
     /// Write one dirty page to the data disk, forcing its log fragment
     /// first if needed — the paper's WAL protocol.
     ///
-    /// The home write is preceded by a verified copy into a doublewrite
-    /// slot and is itself read-back verified: a torn or silently lost
-    /// write is retried, and a write torn by the crash itself is
-    /// repairable at recovery from the doublewrite image.
+    /// The home write goes through [`txnlog::write_home`]: a verified
+    /// doublewrite copy, then a read-back verified home write.
     fn flush_page(&mut self, page: &Page) -> Result<(), WalError> {
         if let Some(&pos) = self.page_last_log.get(&page.id) {
             if !self.log.is_durable(pos) {
@@ -415,12 +408,7 @@ impl WalDb {
                 self.wal_forces += 1;
             }
         }
-        if self.cfg.dw_slots > 0 {
-            let slot = self.cfg.data_pages + self.dw_cursor % self.cfg.dw_slots;
-            self.dw_cursor += 1;
-            write_page_verified(&mut self.data, slot, page, crate::stream::IO_RETRIES)?;
-        }
-        write_page_verified(&mut self.data, page.id.0, page, crate::stream::IO_RETRIES)?;
+        txnlog::write_home(&mut self.data, &self.cfg, &mut self.dw_cursor, page)?;
         Ok(())
     }
 
@@ -432,20 +420,10 @@ impl WalDb {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, WalError> {
-        self.check_bounds(page, offset, len)?;
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        let id = PageId(page);
-        self.locks
-            .acquire(txn, id, LockMode::Shared)
-            .map_err(|c| WalError::LockConflict {
-                page: c.page,
-                holder: c.holder,
-            })?;
+        let id = self.lock_range(txn, page, offset, len, LockMode::Shared)?;
         self.fetch_spilling(id)?;
         if let Some(d) = self.active.get_mut(&txn).and_then(|s| s.deferred.as_mut()) {
-            d.reads.insert(id);
+            d.note_read(id);
         }
         let p = self.pool.get(id).expect("fetched page resident");
         Ok(p.read_at(offset, len).to_vec())
@@ -466,7 +444,8 @@ impl WalDb {
 
     /// Add `delta` (wrapping) to the little-endian u64 at `offset` of
     /// `page`, returning the new value. Physically this is a plain 8-byte
-    /// write; under deferred capture it is logged as a [`LogicalOp::AddU64`]
+    /// write; under deferred capture it is logged as a
+    /// [`LogicalOp::AddU64`](crate::record::LogicalOp::AddU64)
     /// — the canonical case where a command record (8-byte delta) beats an
     /// after-image fragment (before + after images).
     pub fn add_u64(
@@ -476,17 +455,7 @@ impl WalDb {
         offset: usize,
         delta: u64,
     ) -> Result<u64, WalError> {
-        self.check_bounds(page, offset, 8)?;
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        let id = PageId(page);
-        self.locks
-            .acquire(txn, id, LockMode::Exclusive)
-            .map_err(|c| WalError::LockConflict {
-                page: c.page,
-                holder: c.holder,
-            })?;
+        let id = self.lock_range(txn, page, offset, 8, LockMode::Exclusive)?;
         self.fetch_spilling(id)?;
         let mut cur = [0u8; 8];
         cur.copy_from_slice(
@@ -512,116 +481,39 @@ impl WalDb {
         data: &[u8],
         add_delta: Option<u64>,
     ) -> Result<(), WalError> {
-        self.check_bounds(page, offset, data.len())?;
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        let id = PageId(page);
-        self.locks
-            .acquire(txn, id, LockMode::Exclusive)
-            .map_err(|c| WalError::LockConflict {
-                page: c.page,
-                holder: c.holder,
-            })?;
+        let id = self.lock_range(txn, page, offset, data.len(), LockMode::Exclusive)?;
         // a deferred txn pinning the whole pool would wedge every fetch —
         // convert it to fragment mode before its pins fill the last frame
-        let pins = self
-            .active
-            .get(&txn)
-            .and_then(|s| s.deferred.as_ref())
-            .map(|d| d.ops.len())
-            .unwrap_or(0);
-        if pins + 1 > self.cfg.pool_frames.saturating_sub(1).max(1) {
+        let budget = self.cfg.pool_frames.saturating_sub(1).max(1);
+        let deferred = self.active.get(&txn).and_then(|s| s.deferred.as_ref());
+        if deferred.is_some_and(|d| d.pins_after(id) > budget) {
             self.spill_deferred(txn)?;
         }
         self.fetch_spilling(id)?;
 
         let new_lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
-
-        // Build the fragment from the page's pre-image.
-        let (rec, undo_entry) = {
-            let p = self.pool.get(id).expect("fetched page resident");
-            let prev_lsn = p.lsn;
-            match self.cfg.log_mode {
-                LogMode::Logical => {
-                    let before = p.read_at(offset, data.len()).to_vec();
-                    (
-                        LogRecord::Update {
-                            txn,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: offset as u32,
-                            before: before.clone(),
-                            after: data.to_vec(),
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: offset as u32,
-                            before,
-                            new_lsn,
-                        },
-                    )
-                }
-                LogMode::Physical => {
-                    let before = p.payload().to_vec();
-                    let mut after = before.clone();
-                    after[offset..offset + data.len()].copy_from_slice(data);
-                    (
-                        LogRecord::Update {
-                            txn,
-                            page: id,
-                            prev_lsn,
-                            new_lsn,
-                            offset: 0,
-                            before: before.clone(),
-                            after,
-                        },
-                        UndoEntry {
-                            page: id,
-                            offset: 0,
-                            before,
-                            new_lsn,
-                        },
-                    )
-                }
-            }
-        };
+        let p = self.pool.get(id).expect("fetched page resident");
+        let (rec, undo) = txnlog::fragment(self.cfg.log_mode, txn, p, offset, data, new_lsn);
 
         let state = self.active.get_mut(&txn).expect("txn checked active");
         if let Some(d) = state.deferred.as_mut() {
             // Deferred capture: retain the fragment instead of appending it,
-            // pin the page (once per write) so STEAL can never put un-logged
-            // bytes on disk, and mirror the write as a logical op. The LSN
-            // sequence is identical to fragment mode, so per-page ordering —
-            // and therefore replay equivalence — is policy-independent.
-            let op = match add_delta {
-                Some(delta) => LogicalOp::AddU64 {
-                    page: id,
-                    lsn: new_lsn,
-                    offset: offset as u32,
-                    delta,
-                },
-                None => LogicalOp::Put {
-                    page: id,
-                    lsn: new_lsn,
-                    offset: offset as u32,
-                    data: data.to_vec(),
-                },
-            };
-            d.phys_bytes += rec.encoded_len();
-            d.frags.push((qp, rec));
-            d.ops.push(op);
-            state.undo.push(undo_entry);
-            self.pool.pin(id);
+            // pin the page on its first write so STEAL can never put
+            // un-logged bytes on disk, and mirror the write as a logical op.
+            // The LSN sequence is identical to fragment mode, so per-page
+            // ordering — and therefore replay equivalence — is
+            // policy-independent.
+            let op = txnlog::logical_op(id, new_lsn, offset, data, add_delta);
+            if d.push(qp, rec, op) {
+                self.pool.pin(id);
+            }
         } else {
             let pos = self.log.append_routed(qp, txn, &rec)?;
-            let state = self.active.get_mut(&txn).expect("txn checked active");
             state.streams.insert(pos.stream);
-            state.undo.push(undo_entry);
             self.page_last_log.insert(id, pos);
         }
+        state.undo.push(undo);
 
         let p = self.pool.get_mut(id).expect("fetched page resident");
         p.write_at(offset, data);
@@ -653,35 +545,12 @@ impl WalDb {
         let Some(d) = state.deferred.take() else {
             return Ok(());
         };
-        for (i, (qp, rec)) in d.frags.iter().enumerate() {
-            match self.log.append_routed(*qp, txn, rec) {
-                Ok(pos) => {
-                    let state = self.active.get_mut(&txn).expect("spilling active txn");
-                    state.streams.insert(pos.stream);
-                    self.page_last_log.insert(d.ops[i].page(), pos);
-                    self.pool.unpin(d.ops[i].page());
-                }
-                Err(e) => {
-                    // The un-appended tail would sit in the pool as
-                    // un-logged dirty bytes — a STEAL hazard once unpinned.
-                    // Revert it in memory (before-images, reverse order)
-                    // and forget it, leaving the txn consistent with the
-                    // appended prefix. Then release every remaining pin.
-                    let state = self.active.get_mut(&txn).expect("spilling active txn");
-                    let tail: Vec<UndoEntry> = state.undo.split_off(i);
-                    for entry in tail.iter().rev() {
-                        if let Some(p) = self.pool.get_mut(entry.page) {
-                            p.write_at(entry.offset as usize, &entry.before);
-                        }
-                    }
-                    for op in &d.ops[i..] {
-                        self.pool.unpin(op.page());
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(())
+        d.spill(&mut self.pool, &mut state.undo, |qp, page, rec| {
+            let pos = self.log.append_routed(qp, txn, &rec)?;
+            state.streams.insert(pos.stream);
+            self.page_last_log.insert(page, pos);
+            Ok(())
+        })
     }
 
     /// Spill every deferred transaction (checkpoint/flush prelude and the
@@ -719,86 +588,57 @@ impl WalDb {
     /// when the policy picks command logging, or a spill to fragments plus
     /// the normal commit protocol otherwise.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), WalError> {
-        if !self.active.contains_key(&txn) {
-            return Err(WalError::UnknownTxn(txn));
-        }
-        if let Some(rec) = self.build_logical_commit(txn) {
-            let state = self.active.remove(&txn).expect("checked active");
-            let d = state.deferred.expect("logical commit is deferred");
-            self.next_lsn += 1; // the commit_lsn baked into `rec`
-            let append = self.log.append_to(state.home, &rec);
-            let pos = match append {
-                Ok(pos) => pos,
-                Err(e) => {
-                    // nothing was logged: revert in memory and unpin, as a
-                    // deferred abort would
-                    for entry in state.undo.iter().rev() {
-                        if let Some(p) = self.pool.get_mut(entry.page) {
-                            p.write_at(entry.offset as usize, &entry.before);
-                        }
-                    }
-                    for op in &d.ops {
-                        self.pool.unpin(op.page());
-                    }
-                    self.locks.release_all(txn);
-                    self.aborted += 1;
-                    return Err(e.into());
+        let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        let next_lsn = &mut self.next_lsn;
+        let command = state.deferred.as_ref().and_then(|d| {
+            d.command_record(txn, self.cfg.logging, || {
+                let lsn = Lsn(*next_lsn);
+                *next_lsn += 1;
+                lsn
+            })
+        });
+        let home = match command {
+            Some(rec) => self.append_command(txn, &rec)?,
+            None => {
+                self.spill_deferred(txn)?;
+                let state = self.active.remove(&txn).ok_or(WalError::UnknownTxn(txn))?;
+                for &s in &state.streams {
+                    self.log.force(s)?;
                 }
-            };
-            // pins drop before the force: page_last_log now names the
-            // logical record, so a later eviction re-forces under the WAL
-            // rule even if this force fails
-            for op in &d.ops {
-                self.page_last_log.insert(op.page(), pos);
-                self.pool.unpin(op.page());
+                self.log.append_to(state.home, &LogRecord::Commit { txn })?;
+                state.home
             }
-            self.log.force(state.home)?;
-            self.locks.release_all(txn);
-            self.committed += 1;
-            return self.maybe_auto_checkpoint();
-        }
-        self.spill_deferred(txn)?;
-        let state = self.active.remove(&txn).ok_or(WalError::UnknownTxn(txn))?;
-        for &s in &state.streams {
-            self.log.force(s)?;
-        }
-        self.log.append_to(state.home, &LogRecord::Commit { txn })?;
-        self.log.force(state.home)?;
+        };
+        self.log.force(home)?;
         self.locks.release_all(txn);
         self.committed += 1;
         self.maybe_auto_checkpoint()
     }
 
-    /// Run the cost-based policy for a deferred transaction about to
-    /// commit. `Some(record)` means command-log it (the record carries the
-    /// next LSN as its commit LSN — the caller consumes that LSN);
-    /// `None` means spill to fragments (or the txn was never deferred).
-    fn build_logical_commit(&mut self, txn: TxnId) -> Option<LogRecord> {
-        let state = self.active.get(&txn)?;
-        let d = state.deferred.as_ref()?;
-        if d.ops.is_empty() {
-            // read-only: the plain Commit record path is already minimal
-            return None;
-        }
-        let decision = match self.cfg.logging {
-            LoggingPolicy::Command => DECISION_FORCED,
-            LoggingPolicy::Adaptive { .. } => DECISION_COST,
-            LoggingPolicy::Fragments => return None,
-        };
-        let rec = LogRecord::Logical {
-            txn,
-            commit_lsn: Lsn(self.next_lsn),
-            decision,
-            reads: d.reads.iter().copied().collect(),
-            ops: d.ops.clone(),
-        };
-        if let LoggingPolicy::Adaptive { threshold_pct } = self.cfg.logging {
-            let logical = rec.encoded_len() as u128;
-            if logical * 100 > u128::from(threshold_pct) * d.phys_bytes as u128 {
-                return None;
+    /// Append a command-logged transaction's one [`LogRecord::Logical`]
+    /// record — its commit record — and return the stream to force.
+    fn append_command(&mut self, txn: TxnId, rec: &LogRecord) -> Result<usize, WalError> {
+        let state = self.active.remove(&txn).expect("checked active");
+        let d = state.deferred.expect("a command-logged txn is deferred");
+        let pos = match self.log.append_to(state.home, rec) {
+            Ok(pos) => pos,
+            Err(e) => {
+                // nothing was logged: revert in memory and unpin, as a
+                // deferred abort would
+                d.discard(&mut self.pool, &state.undo);
+                self.locks.release_all(txn);
+                self.aborted += 1;
+                return Err(e.into());
             }
+        };
+        // pins drop before the force: page_last_log now names the
+        // logical record, so a later eviction re-forces under the WAL
+        // rule even if this force fails
+        for &page in d.pins() {
+            self.page_last_log.insert(page, pos);
+            self.pool.unpin(page);
         }
-        Some(rec)
+        Ok(state.home)
     }
 
     /// Honour [`WalConfig::ckpt_every_commits`]: fuzzy-checkpoint when the
@@ -813,53 +653,6 @@ impl WalDb {
         Ok(())
     }
 
-    /// Group commit: commit several transactions with one force per
-    /// involved log stream instead of one per transaction — the
-    /// stream-level analogue of the log processor's page assembly.
-    ///
-    /// All-or-nothing per transaction (not across the group): each listed
-    /// transaction must be active; the group shares the force work.
-    pub fn commit_group(&mut self, txns: &[TxnId]) -> Result<(), WalError> {
-        // validate first so a bad id does not half-commit the group
-        for txn in txns {
-            if !self.active.contains_key(txn) {
-                return Err(WalError::UnknownTxn(*txn));
-            }
-        }
-        // group commit shares forces across physical commit records; spill
-        // any deferred members so the whole group takes that path
-        for txn in txns {
-            self.spill_deferred(*txn)?;
-        }
-        let mut states = Vec::with_capacity(txns.len());
-        for txn in txns {
-            states.push((*txn, self.active.remove(txn).expect("validated")));
-        }
-        // one force per distinct fragment stream across the whole group
-        let mut streams: BTreeSet<usize> = BTreeSet::new();
-        for (_, state) in &states {
-            streams.extend(state.streams.iter().copied());
-        }
-        for s in streams {
-            self.log.force(s)?;
-        }
-        // append all commit records, then force each home stream once
-        let mut homes: BTreeSet<usize> = BTreeSet::new();
-        for (txn, state) in &states {
-            self.log
-                .append_to(state.home, &LogRecord::Commit { txn: *txn })?;
-            homes.insert(state.home);
-        }
-        for h in homes {
-            self.log.force(h)?;
-        }
-        for (txn, _) in &states {
-            self.locks.release_all(*txn);
-            self.committed += 1;
-        }
-        self.maybe_auto_checkpoint()
-    }
-
     /// Abort: undo the transaction's updates in reverse order, logging a
     /// compensation on the home stream for each, then append the abort
     /// record. No force is needed — if the tail is lost, recovery simply
@@ -870,42 +663,34 @@ impl WalDb {
             // Deferred abort: nothing was ever logged, so there is nothing
             // to compensate — restore the before-images in memory, release
             // the pins, and vanish without a trace in the log.
-            for entry in state.undo.iter().rev() {
-                if let Some(p) = self.pool.get_mut(entry.page) {
-                    p.write_at(entry.offset as usize, &entry.before);
-                }
-            }
-            for op in &d.ops {
-                self.pool.unpin(op.page());
-            }
-            self.locks.release_all(txn);
-            self.aborted += 1;
-            return Ok(());
+            d.discard(&mut self.pool, &state.undo);
+        } else {
+            self.compensate(txn, state.home, &state.undo)?;
+            self.log.append_to(state.home, &LogRecord::Abort { txn })?;
         }
-        for entry in state.undo.iter().rev() {
+        self.locks.release_all(txn);
+        self.aborted += 1;
+        Ok(())
+    }
+
+    /// Undo `undo` newest first in the pool, logging a compensation on
+    /// stream `home` for each update so the undo itself is crash-safe.
+    fn compensate(&mut self, txn: TxnId, home: usize, undo: &[UndoEntry]) -> Result<(), WalError> {
+        for entry in undo.iter().rev() {
             self.fetch(entry.page)?;
-            let new_lsn = Lsn(self.next_lsn);
+            let clr_lsn = Lsn(self.next_lsn);
             self.next_lsn += 1;
-            let rec = LogRecord::Compensation {
-                txn,
-                page: entry.page,
-                undoes: entry.new_lsn,
-                new_lsn,
-                offset: entry.offset,
-                data: entry.before.clone(),
-            };
-            let pos = self.log.append_to(state.home, &rec)?;
+            let pos = self
+                .log
+                .append_to(home, &entry.compensation(txn, clr_lsn))?;
             self.page_last_log.insert(entry.page, pos);
             let p = self
                 .pool
                 .get_mut(entry.page)
                 .expect("fetched page resident");
-            p.write_at(entry.offset as usize, &entry.before);
-            p.lsn = new_lsn;
+            entry.restore(p);
+            p.lsn = clr_lsn;
         }
-        self.log.append_to(state.home, &LogRecord::Abort { txn })?;
-        self.locks.release_all(txn);
-        self.aborted += 1;
         Ok(())
     }
 
@@ -937,11 +722,7 @@ impl WalDb {
         for s in 0..self.log.n_streams() {
             self.log.append_to(s, &begin)?;
         }
-        for id in self.pool.dirty_ids() {
-            let page = self.pool.peek(id).expect("dirty page resident").clone();
-            self.flush_page(&page)?;
-            self.pool.mark_clean(id);
-        }
+        self.flush_all()?;
         for s in 0..self.log.n_streams() {
             self.log.append_to(s, &LogRecord::CheckpointEnd)?;
         }
@@ -969,59 +750,24 @@ impl WalDb {
     /// survive.
     pub fn rollback_to(&mut self, sp: Savepoint) -> Result<(), WalError> {
         let txn = sp.txn;
-        let state = self.active.get(&txn).ok_or(WalError::UnknownTxn(txn))?;
+        let state = self.active.get_mut(&txn).ok_or(WalError::UnknownTxn(txn))?;
         if sp.undo_len > state.undo.len() {
             return Err(WalError::Storage(StorageError::Protocol(
                 "savepoint from a different transaction incarnation",
             )));
         }
-        let home = state.home;
-        if state.deferred.is_some() {
+        let to_undo = state.undo.split_off(sp.undo_len);
+        if let Some(d) = state.deferred.as_mut() {
             // Deferred partial rollback: the undone suffix was never logged
-            // (frags/ops/undo grow in lockstep, so `undo_len` indexes all
-            // three) — revert it in memory and drop the captured tail.
-            let state = self.active.get_mut(&txn).expect("checked active");
-            let d = state.deferred.as_mut().expect("checked deferred");
-            let dropped_ops = d.ops.split_off(sp.undo_len);
-            d.frags.truncate(sp.undo_len);
-            d.phys_bytes = d.frags.iter().map(|(_, r)| r.encoded_len()).sum();
-            let to_undo: Vec<UndoEntry> = state.undo.split_off(sp.undo_len);
-            for entry in to_undo.iter().rev() {
-                if let Some(p) = self.pool.get_mut(entry.page) {
-                    p.write_at(entry.offset as usize, &entry.before);
-                }
-            }
-            for op in &dropped_ops {
-                self.pool.unpin(op.page());
-            }
+            // (the capture and the undo chain grow in step, so `undo_len`
+            // indexes both) — revert it in memory, drop the captured tail
+            // and the pins only it held.
+            let unpin = d.truncate(sp.undo_len);
+            txnlog::discard(&mut self.pool, &to_undo, &unpin);
             return Ok(());
         }
-        let to_undo: Vec<UndoEntry> = {
-            let state = self.active.get_mut(&txn).expect("checked active");
-            state.undo.split_off(sp.undo_len)
-        };
-        for entry in to_undo.iter().rev() {
-            self.fetch(entry.page)?;
-            let new_lsn = Lsn(self.next_lsn);
-            self.next_lsn += 1;
-            let rec = LogRecord::Compensation {
-                txn,
-                page: entry.page,
-                undoes: entry.new_lsn,
-                new_lsn,
-                offset: entry.offset,
-                data: entry.before.clone(),
-            };
-            let pos = self.log.append_to(home, &rec)?;
-            self.page_last_log.insert(entry.page, pos);
-            let p = self
-                .pool
-                .get_mut(entry.page)
-                .expect("fetched page resident");
-            p.write_at(entry.offset as usize, &entry.before);
-            p.lsn = new_lsn;
-        }
-        Ok(())
+        let home = state.home;
+        self.compensate(txn, home, &to_undo)
     }
 
     /// Take an archive copy of the database for media recovery: flushes
@@ -1293,64 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_amortizes_forces() {
-        let mk = || WalConfig {
-            data_pages: 32,
-            pool_frames: 16,
-            log_streams: 2,
-            ..WalConfig::default()
-        };
-        // individual commits
-        let mut solo = WalDb::new(mk());
-        let txns: Vec<TxnId> = (0..6)
-            .map(|i| {
-                let t = solo.begin();
-                solo.write(t, i, 0, b"solo").unwrap();
-                t
-            })
-            .collect();
-        for t in txns {
-            solo.commit(t).unwrap();
-        }
-        let solo_forces: u64 = (0..2).map(|s| solo.log().stream(s).forces()).sum();
-
-        // one group commit
-        let mut grouped = WalDb::new(mk());
-        let txns: Vec<TxnId> = (0..6)
-            .map(|i| {
-                let t = grouped.begin();
-                grouped.write(t, i, 0, b"grup").unwrap();
-                t
-            })
-            .collect();
-        grouped.commit_group(&txns).unwrap();
-        let group_forces: u64 = (0..2).map(|s| grouped.log().stream(s).forces()).sum();
-
-        assert!(
-            group_forces < solo_forces / 2,
-            "group {group_forces} vs solo {solo_forces}"
-        );
-        assert_eq!(grouped.committed(), 6);
-        // durability identical: everything survives a crash
-        let (mut rec, report) = WalDb::recover(grouped.crash_image(), mk()).unwrap();
-        assert_eq!(report.committed_txns.len(), 6);
-        let q = rec.begin();
-        for i in 0..6 {
-            assert_eq!(rec.read(q, i, 0, 4).unwrap(), b"grup");
-        }
-    }
-
-    #[test]
-    fn group_commit_rejects_unknown_txn_atomically() {
-        let mut db = WalDb::new(tiny());
-        let a = db.begin();
-        db.write(a, 1, 0, b"a").unwrap();
-        assert_eq!(db.commit_group(&[a, 999]), Err(WalError::UnknownTxn(999)));
-        // a is still active and can commit normally
-        db.commit(a).unwrap();
-    }
-
-    #[test]
     fn savepoint_partial_rollback() {
         let mut db = WalDb::new(tiny());
         let t = db.begin();
@@ -1564,6 +1252,67 @@ mod tests {
     }
 
     #[test]
+    fn deferred_rewrites_of_one_page_do_not_spill() {
+        // one pin per page, not per write: rewriting a pinned page never
+        // counts against the pin budget
+        let cfg = command_cfg();
+        let mut db = WalDb::new(cfg.clone());
+        let t = db.begin();
+        for i in 0..cfg.pool_frames {
+            db.write(t, 1, i * 8, b"rewrite!").unwrap();
+        }
+        db.commit(t).unwrap();
+        assert_eq!(
+            count_recs(&db, |r| matches!(r, LogRecord::Logical { .. })),
+            1
+        );
+        assert_eq!(
+            count_recs(&db, |r| matches!(r, LogRecord::Update { .. })),
+            0
+        );
+    }
+
+    #[test]
+    fn deferred_savepoint_rollback_unpins_and_recovers() {
+        let cfg = command_cfg();
+        let mut db = WalDb::new(cfg.clone());
+        let t = db.begin();
+        db.write(t, 1, 0, b"first").unwrap();
+        let sp = db.savepoint(t).unwrap();
+        db.write(t, 1, 0, b"again").unwrap();
+        db.write(t, 2, 0, b"other").unwrap();
+        db.rollback_to(sp).unwrap();
+        db.commit(t).unwrap();
+        let image = db.crash_image();
+
+        // no pin leaked: a later command-logged transaction pins the whole
+        // budget and still reads one more distinct page without the pool
+        // running out — which would spill it to fragments
+        let budget = cfg.pool_frames - 1;
+        let t2 = db.begin();
+        for p in 0..budget as u64 {
+            db.write(t2, 4 + p, 0, b"pin").unwrap();
+        }
+        db.read(t2, 15, 0, 1).unwrap();
+        db.commit(t2).unwrap();
+        assert_eq!(
+            count_recs(&db, |r| matches!(r, LogRecord::Update { .. })),
+            0,
+            "a leaked pin would have forced a spill"
+        );
+        let t3 = db.begin();
+        for p in 0..cfg.pool_frames as u64 {
+            db.write(t3, 8 + p, 0, b"turn").unwrap();
+        }
+        db.commit(t3).unwrap();
+
+        let (mut db2, _) = WalDb::recover(image, cfg).unwrap();
+        let q = db2.begin();
+        assert_eq!(db2.read(q, 1, 0, 5).unwrap(), b"first");
+        assert_eq!(db2.read(q, 2, 0, 5).unwrap(), vec![0u8; 5]);
+    }
+
+    #[test]
     fn checkpoint_spills_deferred_txns() {
         let mut db = WalDb::new(command_cfg());
         let t = db.begin();
@@ -1582,31 +1331,15 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_spills_instead_of_failing() {
-        // pool of 4 frames, a deferred txn pinning pages: the cap (pool/2)
-        // plus the exhaustion retry must keep writes succeeding
-        let mut db = WalDb::new(WalConfig {
-            data_pages: 16,
-            pool_frames: 4,
-            log_streams: 2,
-            logging: LoggingPolicy::Command,
-            ..WalConfig::default()
-        });
+        // pool of 4 frames, a deferred txn pinning pages: the pin budget
+        // (pool − 1) plus the exhaustion retry must keep writes succeeding
+        let mut db = WalDb::new(command_cfg());
         let t = db.begin();
         for p in 0..10 {
             db.write(t, p, 0, b"spill-pressure").unwrap();
         }
         db.commit(t).unwrap();
-        let (mut db2, _) = WalDb::recover(
-            db.crash_image(),
-            WalConfig {
-                data_pages: 16,
-                pool_frames: 4,
-                log_streams: 2,
-                logging: LoggingPolicy::Command,
-                ..WalConfig::default()
-            },
-        )
-        .unwrap();
+        let (mut db2, _) = WalDb::recover(db.crash_image(), command_cfg()).unwrap();
         let q = db2.begin();
         for p in 0..10 {
             assert_eq!(db2.read(q, p, 0, 5).unwrap(), b"spill");

@@ -23,6 +23,11 @@
 //! * [`manager`] — the bank of N streams plus routing;
 //! * [`lock`] — the page-level strict two-phase lock table the paper's
 //!   back-end controller scheduler uses;
+//! * [`txnlog`] — the transaction write vocabulary both engines share:
+//!   fragment and undo-entry construction, compensations, deferred command
+//!   capture, the one adaptive logging decision, and the doublewrite home
+//!   write. [`WalDb`] and rmdb-exec's `ExecDb` build every update,
+//!   compensation and command record through it;
 //! * [`db`] — [`WalDb`], the user-facing engine: begin/read/write/commit/
 //!   abort/checkpoint plus crash images;
 //! * [`recovery`] — the one recovery engine: distributed-log analysis
@@ -58,6 +63,7 @@ pub mod recovery;
 pub mod scheduler;
 pub mod select;
 pub mod stream;
+pub mod txnlog;
 
 pub use backoff::Backoff;
 pub use db::{CrashImage, LogMode, LoggingPolicy, Savepoint, TxnId, WalConfig, WalDb, WalError};

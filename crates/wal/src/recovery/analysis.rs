@@ -31,19 +31,18 @@
 //! compensations precede the bound in the same stream and are therefore
 //! durable and scanned).
 
-use super::redo::{read_data_retry, LogicalMeta, RedoBody, RedoItem};
+use super::redo::{LogicalMeta, RedoBody, RedoItem};
 use crate::db::{TxnId, WalConfig};
 use crate::record::LogRecord;
 use crate::stream::{IndexedRecord, ScanStats};
-use rmdb_storage::{Disk, Lsn, Page, PageId};
+use crate::txnlog::UndoEntry;
+use rmdb_storage::{read_page_counted, Disk, Page, PageId, IO_RETRIES};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// One not-yet-ruled-out undo unit of a potential loser.
+/// One not-yet-ruled-out undo unit of a potential loser, and the stream
+/// its update was logged on (where its compensation goes).
 pub(crate) struct UndoCand {
-    pub page: PageId,
-    pub new_lsn: Lsn,
-    pub offset: u32,
-    pub before: Vec<u8>,
+    pub entry: UndoEntry,
     pub stream: usize,
 }
 
@@ -157,19 +156,10 @@ pub(crate) fn analyze(scans: &[(Vec<IndexedRecord>, ScanStats)], bounded: bool) 
                     a.max_lsn = a.max_lsn.max(new_lsn.0);
                     if !seen_lsns.insert(new_lsn.0) {
                         a.duplicates += 1;
-                    } else if behind {
+                        continue;
+                    }
+                    if behind {
                         a.records_skipped += 1;
-                        if active.contains(txn) {
-                            // still in flight at the checkpoint instant —
-                            // may be a loser, so keep its before-image
-                            a.updates_by_txn.entry(*txn).or_default().push(UndoCand {
-                                page: *page,
-                                new_lsn: *new_lsn,
-                                offset: *offset,
-                                before: before.clone(),
-                                stream: stream_idx,
-                            });
-                        }
                     } else {
                         a.redo.entry(*page).or_default().push(RedoItem {
                             new_lsn: *new_lsn,
@@ -179,11 +169,18 @@ pub(crate) fn analyze(scans: &[(Vec<IndexedRecord>, ScanStats)], bounded: bool) 
                                 data: after.clone(),
                             },
                         });
+                    }
+                    // behind the bound, only a transaction still in flight
+                    // at the checkpoint instant may be a loser that needs
+                    // the before-image
+                    if !behind || active.contains(txn) {
                         a.updates_by_txn.entry(*txn).or_default().push(UndoCand {
-                            page: *page,
-                            new_lsn: *new_lsn,
-                            offset: *offset,
-                            before: before.clone(),
+                            entry: UndoEntry {
+                                page: *page,
+                                offset: *offset,
+                                before: before.clone(),
+                                new_lsn: *new_lsn,
+                            },
                             stream: stream_idx,
                         });
                     }
@@ -280,7 +277,7 @@ pub(crate) fn harvest_doublewrite(
         if !data.is_allocated(slot) {
             continue;
         }
-        if let Ok(p) = read_data_retry(data, slot, retried) {
+        if let Ok(p) = read_page_counted(data, slot, IO_RETRIES, retried) {
             match doublewrite.get(&p.id) {
                 Some(have) if have.lsn >= p.lsn => {}
                 _ => {

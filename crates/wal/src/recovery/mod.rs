@@ -58,7 +58,7 @@ use crate::manager::ParallelLogManager;
 use crate::record::LogRecord;
 use analysis::{analyze, harvest_doublewrite};
 use rmdb_obs::{EventKind, Registry};
-use rmdb_storage::{write_page_verified, Disk, Lsn, Page, PageId, StorageError};
+use rmdb_storage::{write_page_verified, Disk, Lsn, Page, PageId, StorageError, IO_RETRIES};
 use std::collections::{btree_map::Entry, BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
@@ -199,16 +199,17 @@ pub fn run(
     let mut next_lsn = a.max_lsn + 1;
     for &loser in &losers {
         let mut cands = updates_by_txn.remove(&loser).expect("loser has updates");
-        cands.retain(|c| !a.compensated.contains(&c.new_lsn.0));
-        cands.sort_by_key(|c| std::cmp::Reverse(c.new_lsn));
+        cands.retain(|c| !a.compensated.contains(&c.entry.new_lsn.0));
+        cands.sort_by_key(|c| std::cmp::Reverse(c.entry.new_lsn));
         let mut last_stream = None;
         for cand in &cands {
-            if quarantined.contains(&cand.page) {
+            let entry = &cand.entry;
+            if quarantined.contains(&entry.page) {
                 // the page is unreadable either way; undoing onto a fresh
                 // frame would invent contents for the untouched bytes
                 continue;
             }
-            if cand.offset as usize + cand.before.len() > rmdb_storage::PAYLOAD_SIZE {
+            if entry.offset as usize + entry.before.len() > rmdb_storage::PAYLOAD_SIZE {
                 return Err(WalError::Storage(StorageError::Protocol(
                     "log fragment exceeds page payload",
                 )));
@@ -216,13 +217,13 @@ pub fn run(
             // A candidate from behind the checkpoint bound may touch a page
             // the bounded redo map never loaded — fetch its current image
             // from the data disk rather than starting from a blank frame.
-            let page = match pages.entry(cand.page) {
+            let page = match pages.entry(entry.page) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(slot) => {
                     match load_redo_page(
                         &data,
                         &doublewrite,
-                        cand.page,
+                        entry.page,
                         false,
                         &mut base.retried_ios,
                     )? {
@@ -232,28 +233,18 @@ pub fn run(
                         }
                         PageLoad::Quarantined => {
                             base.quarantined_data_pages += 1;
-                            quarantined.insert(cand.page);
+                            quarantined.insert(entry.page);
                             continue;
                         }
                     }
                 }
             };
-            let new_lsn = Lsn(next_lsn);
+            let clr_lsn = Lsn(next_lsn);
             next_lsn += 1;
-            page.write_at(cand.offset as usize, &cand.before);
-            page.lsn = new_lsn;
+            entry.restore(page);
+            page.lsn = clr_lsn;
             base.undone_updates += 1;
-            log.append_to(
-                cand.stream,
-                &LogRecord::Compensation {
-                    txn: loser,
-                    page: cand.page,
-                    undoes: cand.new_lsn,
-                    new_lsn,
-                    offset: cand.offset,
-                    data: cand.before.clone(),
-                },
-            )?;
+            log.append_to(cand.stream, &entry.compensation(loser, clr_lsn))?;
             last_stream = Some(cand.stream);
         }
         log.append_to(last_stream.unwrap_or(0), &LogRecord::Abort { txn: loser })?;
@@ -267,7 +258,7 @@ pub fn run(
     let t_flush = Instant::now();
     log.force_all()?;
     for (id, page) in &pages {
-        write_page_verified(&mut data, id.0, page, 4)?;
+        write_page_verified(&mut data, id.0, page, IO_RETRIES)?;
     }
     report.base.pages_written = pages.len() as u64;
     if engine.truncate_behind_bound {

@@ -24,7 +24,9 @@
 use super::report::{ReplaySummary, WorkerStats};
 use crate::db::TxnId;
 use crate::record::LogicalOp;
-use rmdb_storage::{Disk, Lsn, Page, PageId, StorageError, PAYLOAD_SIZE};
+use rmdb_storage::{
+    read_page_counted, Disk, Lsn, Page, PageId, StorageError, IO_RETRIES, PAYLOAD_SIZE,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -119,7 +121,7 @@ pub fn load_redo_page(
     if !data.is_allocated(page_id.0) {
         return Ok(PageLoad::Ready(Page::new(page_id), false));
     }
-    match read_data_retry(data, page_id.0, retried) {
+    match read_page_counted(data, page_id.0, IO_RETRIES, retried) {
         Ok(p) => Ok(PageLoad::Ready(p, false)),
         Err(StorageError::Corrupt { .. }) => {
             if let Some(copy) = doublewrite.get(&page_id) {
@@ -136,26 +138,6 @@ pub fn load_redo_page(
         }
         Err(e) => Err(e),
     }
-}
-
-/// Bounded retry for data-disk reads: transient faults and one-off read
-/// bit flips are retried; persistent corruption surfaces as the final
-/// typed error for the caller's repair/quarantine logic.
-pub fn read_data_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page, StorageError> {
-    const ATTEMPTS: u32 = 4;
-    let mut last = StorageError::Io { addr };
-    for attempt in 0..ATTEMPTS {
-        match disk.read_page(addr) {
-            Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. }))
-                if attempt + 1 < ATTEMPTS =>
-            {
-                *retried += 1;
-                last = e;
-            }
-            other => return other,
-        }
-    }
-    Err(last)
 }
 
 /// What a redo scheduler produced. Every field except `per_worker` (and

@@ -24,10 +24,10 @@
 
 use crate::record::LogRecord;
 use rmdb_storage::fault::FaultHandle;
-use rmdb_storage::{write_page_verified, Disk, MemDisk, Page, PageId, StorageError, PAYLOAD_SIZE};
-
-/// Bounded retry budget for riding through transient device faults.
-pub const IO_RETRIES: u32 = 4;
+use rmdb_storage::{
+    read_page_counted, read_page_retry, write_page_verified, Disk, MemDisk, Page, PageId,
+    StorageError, IO_RETRIES, PAYLOAD_SIZE,
+};
 
 /// Per-page header inside the payload: `used: u32` + `epoch: u64`.
 const PAGE_HDR: usize = 12;
@@ -62,24 +62,6 @@ pub struct IndexedRecord {
     /// uses this to pick a record-aligned truncation frame from the scan
     /// it already did, instead of re-reading the log to find one.
     pub frame_start: bool,
-}
-
-/// Bounded read retry for log frames: rides transient I/O faults and
-/// one-off bit flips, counting retries; persistent errors surface typed.
-fn read_retry(disk: &Disk, addr: u64, retried: &mut u64) -> Result<Page, StorageError> {
-    let mut last = StorageError::Io { addr };
-    for attempt in 0..IO_RETRIES {
-        match disk.read_page(addr) {
-            Err(e @ (StorageError::Io { .. } | StorageError::Corrupt { .. }))
-                if attempt + 1 < IO_RETRIES =>
-            {
-                *retried += 1;
-                last = e;
-            }
-            other => return other,
-        }
-    }
-    Err(last)
 }
 
 /// A single sequential log on its own disk.
@@ -135,7 +117,7 @@ impl LogStream {
     /// pages beyond the frontier can never be mistaken for live ones.
     pub fn open(disk: impl Into<Disk>) -> Result<Self, StorageError> {
         let disk = disk.into();
-        let (start_page, old_epoch) = match read_retry(&disk, 0, &mut 0) {
+        let (start_page, old_epoch) = match read_page_retry(&disk, 0, IO_RETRIES) {
             Ok(h) if h.id == HEADER_ID => (
                 u64::from_le_bytes(h.read_at(0, 8).try_into().unwrap()),
                 u64::from_le_bytes(h.read_at(8, 8).try_into().unwrap()),
@@ -153,7 +135,7 @@ impl LogStream {
             // a corrupt (torn) log page is the durability frontier: the
             // decodable prefix before it is salvaged, everything at and
             // beyond it was in flight when the crash hit
-            match read_retry(&disk, frame, &mut 0) {
+            match read_page_retry(&disk, frame, IO_RETRIES) {
                 Ok(p) if p.id == PageId(frame) => {
                     let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
                     let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
@@ -342,7 +324,7 @@ impl LogStream {
         let mut prev_epoch = 0u64;
         let mut page = self.start_page;
         while page < self.disk.capacity() {
-            match read_retry(&self.disk, page, &mut stats.retried_reads) {
+            match read_page_counted(&self.disk, page, IO_RETRIES, &mut stats.retried_reads) {
                 Ok(p) if p.id == PageId(page) => {
                     let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
                     let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
