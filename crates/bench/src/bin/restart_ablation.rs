@@ -213,7 +213,6 @@ fn replay_sweep() -> String {
             workers: k,
             scheduler: RedoScheduler::TxnDag,
             truncate_behind_bound: false,
-            ..RestartConfig::default()
         };
         let mut best_wall = u64::MAX;
         let mut last = None;

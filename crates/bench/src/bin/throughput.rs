@@ -319,9 +319,7 @@ fn run_failover(
                 while !db.is_stream_dead(stream) && t_wait.elapsed() < Duration::from_secs(60) {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                db.commit(txn)
-                    .and_then(|h| h.wait())
-                    .expect("probe commit after failover");
+                db.commit(txn).expect("probe commit after failover");
             });
         }
         let handles: Vec<_> = (0..KILL_WORKERS)
@@ -377,7 +375,7 @@ fn run_failover(
                 before.push(Sample { ..*s });
             } else if s.done_ms <= quarantined_at_ms {
                 during.push(Sample { ..*s });
-            } else if rejoin_boundary.map_or(true, |r| s.done_ms < r) {
+            } else if rejoin_boundary.is_none_or(|r| s.done_ms < r) {
                 after.push(Sample { ..*s });
             } else {
                 post_rejoin.push(Sample { ..*s });
@@ -528,7 +526,7 @@ enum ReadPath {
     /// `run_ro_txn`: lock-free MVCC snapshot reads.
     Mvcc,
     /// `run_txn` with shared locks: readers queue behind writers' X
-    /// locks, which are held across the group-commit force.
+    /// locks, which are held across the commit force.
     Locked,
 }
 

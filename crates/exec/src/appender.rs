@@ -8,8 +8,14 @@
 //! pipeline's flow control), are appended to the stream in ticket order,
 //! and are made durable when a force request arrives. Consecutive
 //! channel messages are drained in batches, so one `force()` covers every
-//! fragment that raced in ahead of it — the stream-level half of group
-//! commit.
+//! fragment and every commit record that raced in ahead of it. This is
+//! where group commit happens: commits that arrive while a force is in
+//! flight queue behind it and share the next one, with no dwell window.
+//! The thread records each group as `group.batch_size` (commit records
+//! per force that covers any), `group.dwell_us` (the first covered commit
+//! record's wait from enqueue to force start) and `group.completions`
+//! (commit records made durable — the appender-side half of the
+//! `txn.commits_acked == group.completions` conservation law).
 //!
 //! Producers never touch the stream itself. They hold a ticket — the
 //! per-stream sequence number assigned at enqueue time — and synchronise
@@ -64,8 +70,13 @@ const HEARTBEAT_TICK: Duration = Duration::from_millis(10);
 
 /// Requests crossing the fragment channel.
 enum Req {
-    /// Append a record; `seq` is the ticket assigned at enqueue time.
-    Append { rec: LogRecord, seq: u64 },
+    /// Append a record; `seq` is the ticket assigned at enqueue time,
+    /// `commit_at` the enqueue time when `rec` is a commit record.
+    Append {
+        rec: LogRecord,
+        seq: u64,
+        commit_at: Option<Instant>,
+    },
     /// Make everything appended up to (at least) `seq` durable.
     Force { seq: u64 },
     /// Reply with a crash snapshot of the log disk.
@@ -138,13 +149,36 @@ struct ThreadObs {
     forces: Counter,
     /// Wall-clock per force, including the modeled device service time.
     force_us: Histogram,
-    /// Event sink for [`EventKind::StreamForce`].
+    /// Commit records per force that covers any (`group.batch_size`).
+    batch_size: Histogram,
+    /// First covered commit record's enqueue-to-force wait, µs.
+    dwell_us: Histogram,
+    /// Commit records made durable (`group.completions`).
+    completions: Counter,
+    /// The fleet's private group tally ([`TicketInheritance::group_tally`]).
+    group_tally: Histogram,
+    /// Event sink for [`EventKind::StreamForce`] and
+    /// [`EventKind::GroupCommitBatch`].
     obs: Registry,
+}
+
+impl ThreadObs {
+    /// Account one force that made `commits` commit records durable, the
+    /// first of them enqueued `dwell` before the force started.
+    fn group(&self, commits: u64, dwell: Duration) {
+        self.batch_size.record(commits);
+        self.group_tally.record(commits);
+        self.dwell_us.record_duration(dwell);
+        self.completions.add(commits);
+        self.obs
+            .emit(EventKind::GroupCommitBatch, 0, self.idx, 0, commits);
+    }
 }
 
 /// Ticket-space state a rejoined stream incarnation inherits from its
 /// predecessor, so tickets stay unique per stream across churn and the
-/// durable prefix stays queryable through the fresh handle.
+/// durable prefix stays queryable through the fresh handle. A first
+/// incarnation takes [`TicketInheritance::default`].
 #[derive(Debug, Clone, Default)]
 pub struct TicketInheritance {
     /// First ticket the new incarnation will issue (old `issued + 1`).
@@ -155,6 +189,11 @@ pub struct TicketInheritance {
     /// Orphan ranges `(lo, hi]`: tickets issued by a dead incarnation but
     /// never forced — lost with its volatile tail, never durable here.
     pub orphans: Vec<(u64, u64)>,
+    /// Group-commit tally (commit records per covering force), private to
+    /// one fleet and unregistered, so [`crate::ExecStats`] counts this
+    /// database's groups even when several share one registry. Every
+    /// incarnation of every stream records into the same handle.
+    pub group_tally: Histogram,
 }
 
 /// Handle to one log-processor thread.
@@ -194,6 +233,7 @@ impl LogAppender {
             &Registry::new(),
             0,
             DEFAULT_WAIT,
+            TicketInheritance::default(),
         )
     }
 
@@ -201,38 +241,17 @@ impl LogAppender {
     /// `wal.fragments_enqueued.s<idx>` (producer side, at ticket issue),
     /// `wal.fragments_appended.s<idx>` (appender side, after the stream
     /// write), `wal.forces.s<idx>` and the `wal.force_us.s<idx>` latency
-    /// histogram, plus a [`EventKind::StreamForce`] event per force.
-    /// `wait` bounds every producer-side blocking wait on this appender.
+    /// histogram, plus a [`EventKind::StreamForce`] event per force, and
+    /// the fleet-wide `group.*` metrics (see the module docs). `wait`
+    /// bounds every producer-side blocking wait on this appender.
+    ///
+    /// `inherit` continues a predecessor's ticket space for a rejoined
+    /// incarnation, so the inherited durable prefix stays `is_forced` and
+    /// the orphaned tail stays *not* durable — forever. The `appended` and
+    /// `forced` watermarks both start at the inherited `forced`, so a
+    /// post-rejoin force can never sweep the orphan range into
+    /// durability.
     pub fn spawn_observed(
-        stream: LogStream,
-        queue: usize,
-        force_delay: Duration,
-        obs: &Registry,
-        idx: usize,
-        wait: Duration,
-    ) -> Self {
-        LogAppender::spawn_rejoined(
-            stream,
-            queue,
-            force_delay,
-            obs,
-            idx,
-            wait,
-            TicketInheritance {
-                next_seq: 1,
-                forced: 0,
-                orphans: Vec::new(),
-            },
-        )
-    }
-
-    /// [`LogAppender::spawn_observed`] for a rejoined stream incarnation:
-    /// the fresh appender continues the predecessor's ticket space so the
-    /// inherited durable prefix stays `is_forced` and the orphaned tail
-    /// stays *not* durable — forever. The `appended` and `forced`
-    /// watermarks both start at the inherited `forced`, so a post-rejoin
-    /// force can never sweep the orphan range into durability.
-    pub fn spawn_rejoined(
         stream: LogStream,
         queue: usize,
         force_delay: Duration,
@@ -259,6 +278,10 @@ impl LogAppender {
             appended: obs.counter(&format!("wal.fragments_appended.s{idx}")),
             forces: obs.counter(&format!("wal.forces.s{idx}")),
             force_us: obs.histogram(&format!("wal.force_us.s{idx}")),
+            batch_size: obs.histogram("group.batch_size"),
+            dwell_us: obs.histogram("group.dwell_us"),
+            completions: obs.counter("group.completions"),
+            group_tally: inherit.group_tally,
             obs: obs.clone(),
         };
         let handle = std::thread::Builder::new()
@@ -300,14 +323,21 @@ impl LogAppender {
     /// full (backpressure). Fails fast on a quarantined or errored stream.
     pub fn append(&self, rec: LogRecord) -> Result<u64, ExecError> {
         self.check_error()?;
+        // a command-logged transaction's Logical record is its commit record
+        let is_commit = matches!(rec, LogRecord::Commit { .. } | LogRecord::Logical { .. });
+        let commit_at = is_commit.then(Instant::now);
         let tx = lock_ok(&self.tx);
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         // Count before the send so a live sample never sees
         // appended > enqueued; a failed send leaves enqueued one ahead,
         // but then the appender is gone and the pipeline is erroring out.
         self.enqueued.inc();
-        tx.send(Req::Append { rec, seq })
-            .map_err(|_| self.thread_gone())?;
+        tx.send(Req::Append {
+            rec,
+            seq,
+            commit_at,
+        })
+        .map_err(|_| self.thread_gone())?;
         Ok(seq)
     }
 
@@ -405,6 +435,9 @@ impl LogAppender {
 
     /// Crash snapshot of this stream's log disk, as of "now" in the
     /// appender's frame of reference (between batches, never mid-force).
+    /// Requests are served in channel order, after the force of their
+    /// batch, so every force requested before this call has completed in
+    /// the snapshot — the commit gate's crash-image argument rests on it.
     /// If the thread is dead the snapshot is served from the vaulted
     /// stream instead — a quarantined stream's durable prefix stays
     /// reachable for crash images.
@@ -647,6 +680,10 @@ fn run(
         shared: Arc::clone(&shared),
         stream: Some(stream),
     };
+    // commit records appended since the last completed force, and the
+    // enqueue time of the first of them
+    let mut uncovered = 0u64;
+    let mut first_commit: Option<Instant> = None;
     loop {
         shared.heartbeat.fetch_add(1, Ordering::Relaxed);
         let first = match rx.recv_timeout(HEARTBEAT_TICK) {
@@ -670,10 +707,20 @@ fn run(
             // to bound a *single* wedged device I/O, not batch length
             shared.heartbeat.fetch_add(1, Ordering::Relaxed);
             match req {
-                Req::Append { rec, seq } => {
+                Req::Append {
+                    rec,
+                    seq,
+                    commit_at,
+                } => {
                     if error.is_none() {
                         match guard.stream().append(&rec) {
-                            Ok(_) => tobs.appended.inc(),
+                            Ok(_) => {
+                                tobs.appended.inc();
+                                if let Some(at) = commit_at {
+                                    uncovered += 1;
+                                    first_commit.get_or_insert(at);
+                                }
+                            }
                             Err(e) => error = Some(e),
                         }
                     }
@@ -725,6 +772,12 @@ fn run(
                     tobs.forces.inc();
                     tobs.force_us.record(us);
                     tobs.obs.emit(EventKind::StreamForce, 0, tobs.idx, 0, us);
+                    // counted before `forced` moves, so a worker can never
+                    // observe its ack ahead of the completion
+                    if let Some(at) = first_commit.take() {
+                        tobs.group(uncovered, t_force.saturating_duration_since(at));
+                        uncovered = 0;
+                    }
                 }
             }
             let mut state = lock_ok(&shared.state);
@@ -813,6 +866,40 @@ mod tests {
         let (recs, stats) = stream.scan_with_stats();
         assert_eq!(stats.corrupt_pages, 0);
         assert!(!recs.is_empty());
+    }
+
+    #[test]
+    fn group_metrics_count_commit_records_per_covering_force() {
+        let obs = Registry::new();
+        let tally = Histogram::default();
+        let app = LogAppender::spawn_observed(
+            LogStream::create(256),
+            64,
+            Duration::ZERO,
+            &obs,
+            0,
+            DEFAULT_WAIT,
+            TicketInheritance {
+                group_tally: tally.clone(),
+                ..TicketInheritance::default()
+            },
+        );
+        // a force that covers no commit record is not a group
+        let t = app.append(LogRecord::Abort { txn: 9 }).unwrap();
+        app.force_through(t).unwrap();
+        for txn in 1..=3 {
+            app.append(commit(txn)).unwrap();
+        }
+        let t = app.append(LogRecord::Abort { txn: 4 }).unwrap();
+        app.force_through(t).unwrap();
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("wal.forces.s0"), Some(2));
+        assert_eq!(snap.counter("group.completions"), Some(3));
+        let batch = snap.histogram("group.batch_size").unwrap();
+        assert_eq!((batch.count, batch.sum), (1, 3));
+        assert_eq!(snap.histogram("group.dwell_us").unwrap().count, 1);
+        let groups = tally.snapshot();
+        assert_eq!((groups.count, groups.sum, groups.max), (1, 3, 3));
     }
 
     #[test]
@@ -939,7 +1026,7 @@ mod tests {
         assert_eq!((forced, issued), (t1, t2));
         let disk = app.take_vaulted().unwrap().into_disk();
         let reopened = LogStream::open(disk).unwrap();
-        let next = LogAppender::spawn_rejoined(
+        let next = LogAppender::spawn_observed(
             reopened,
             64,
             Duration::ZERO,
@@ -950,6 +1037,7 @@ mod tests {
                 next_seq: issued + 1,
                 forced,
                 orphans: vec![(forced, issued)],
+                ..TicketInheritance::default()
             },
         );
         // the durable prefix keeps reading as forced; the lost tail never does

@@ -9,8 +9,10 @@
 //!   draining a bounded fragment channel into 4 KB log pages;
 //! * **back-end controller scheduler** — a [`Scheduler`] behind its own
 //!   mutex, with waiting workers parked on per-transaction condvar slots;
-//! * **back-end controller commit path** — the group-commit daemon
-//!   ([`crate::group`]), batching commit forces across streams;
+//! * **back-end controller commit path** — the committing worker itself
+//!   ([`ExecDb::commit`]): it forces its fragments, appends its commit
+//!   record and waits on its home log processor's force, which the
+//!   appender shares with every commit that queued behind it;
 //! * **supervisor** — a health-check thread ([`crate::supervisor`])
 //!   probing each log processor and quarantining failed ones.
 //!
@@ -32,12 +34,27 @@
 //! ## Commit-ordering invariant
 //!
 //! A transaction's `Commit` record is appended to its home stream only
-//! after every stream holding one of its fragments has confirmed a force
-//! covering that fragment's ticket. Together with the crash-image
-//! protocol (commit gate + data-before-logs snapshot order, see
-//! [`ExecDb::crash_image`]), this guarantees any crash image containing
-//! a durable `Commit{t}` also contains every fragment of `t` — so
-//! [`rmdb_wal::WalDb::recover`] replays exactly the committed state.
+//! after every other stream holding one of its fragments has confirmed a
+//! force covering that fragment's ticket (fragments on the home stream
+//! precede the commit record there, so its force covers them). Locks
+//! release only once the commit record is durable.
+//!
+//! The commit gate is an `RwLock`. Committers hold it for reading only
+//! while they enqueue their commit record and its force request —
+//! shared, so they never wait on one another, and never across the force
+//! wait. [`ExecDb::crash_image`] takes it for writing and snapshots the
+//! data disk before the logs. A log processor serves a snapshot request
+//! only after every force queued ahead of it, so every commit record
+//! appended before the window is durable in its stream's snapshot, and
+//! none is appended inside it. This matters because the log snapshots
+//! are taken one after another: a commit landing between two of them
+//! could let a transaction that read its writes put a fragment in the
+//! later snapshot while the commit is missing from the earlier one. An
+//! abort, likewise, forces its compensations before its locks release
+//! ([`Inner::rollback`]). Together these guarantee any crash image
+//! containing a durable `Commit{t}` also contains every fragment of `t`
+//! and everything `t` read or overwrote — so
+//! [`rmdb_wal::WalDb::recover`] replays exactly a committed state.
 //!
 //! ## Failover
 //!
@@ -78,7 +95,6 @@
 
 use crate::appender::{LogAppender, TicketInheritance};
 use crate::error::{AppenderError, ExecError};
-use crate::group::{run_daemon, CommitHandle, CommitReq};
 use crate::sync::lock_ok;
 use rmdb_mvcc::{Mvcc, Snapshot};
 use rmdb_obs::{Counter, EventKind, Histogram, MetricsSnapshot, Registry};
@@ -97,8 +113,7 @@ use rmdb_wal::txnlog::{self, Capture, UndoEntry};
 use rmdb_wal::{Backoff, CrashImage, WalError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Retries before a transaction is declared starved.
@@ -117,15 +132,6 @@ pub struct ExecConfig {
     pub pool_shards: usize,
     /// Bounded fragment-channel depth per log appender (backpressure).
     pub appender_queue: usize,
-    /// Bounded commit-channel depth (backpressure on committers).
-    pub commit_queue: usize,
-    /// Max transactions the daemon folds into one group commit.
-    pub max_group: usize,
-    /// Group-commit dwell: after the first commit of a batch arrives,
-    /// the daemon lingers up to this long for stragglers before forcing.
-    /// Trades a little single-transaction latency for batch depth under
-    /// load (the paper's group-commit knob, expressed as a window).
-    pub group_dwell_us: u64,
     /// Modeled log-device service time per force, in microseconds. The
     /// paper's log disks are rotational — a force is never free; this is
     /// what makes sharing forces (group commit) worth anything. Zero
@@ -142,11 +148,10 @@ pub struct ExecConfig {
     /// advanced for this long while it has work pending is declared
     /// stalled and quarantined.
     pub force_deadline_ms: u64,
-    /// [`CommitHandle::wait`] deadline before it gives up with a typed
-    /// [`ExecError::Timeout`].
-    pub commit_timeout_ms: u64,
     /// Producer-side wait deadline per appender interaction (force
-    /// waits, snapshot replies).
+    /// waits — the commit's included — and snapshot replies). A force
+    /// wait that runs out fails with a typed
+    /// [`AppenderError::Stalled`], quarantining the stream.
     pub append_wait_ms: u64,
     /// Membership-manager probe period for quarantined streams, in
     /// milliseconds. When non-zero the supervisor periodically attempts
@@ -175,14 +180,10 @@ impl Default for ExecConfig {
             wal: WalConfig::default(),
             pool_shards: 8,
             appender_queue: 1024,
-            commit_queue: 1024,
-            max_group: 64,
-            group_dwell_us: 40,
             force_delay_us: 0,
             min_live_streams: 1,
             health_interval_us: 1_000,
             force_deadline_ms: 1_000,
-            commit_timeout_ms: 30_000,
             append_wait_ms: 30_000,
             rejoin_probe_ms: 0,
             autoscale: false,
@@ -206,11 +207,12 @@ pub struct ExecStats {
     pub starved: u64,
     /// Fragment forces triggered by dirty-page eviction (WAL rule).
     pub wal_forces: u64,
-    /// Group-commit batches flushed by the daemon.
+    /// Log forces that made at least one commit record durable (group
+    /// commits), counted by the appenders.
     pub group_commits: u64,
-    /// Transactions that went through the daemon (batch members).
+    /// Commit records those forces made durable.
     pub commits_grouped: u64,
-    /// Largest batch the daemon flushed.
+    /// Most commit records one force made durable.
     pub max_group_size: u64,
     /// Waiters cancelled as deadlock victims.
     pub deadlock_victims: u64,
@@ -224,9 +226,6 @@ pub(crate) struct Stats {
     pub conflict_retries: AtomicU64,
     pub starved: AtomicU64,
     pub wal_forces: AtomicU64,
-    pub group_commits: AtomicU64,
-    pub commits_grouped: AtomicU64,
-    pub max_group_size: AtomicU64,
     pub deadlock_victims: AtomicU64,
 }
 
@@ -306,10 +305,11 @@ impl WaitTable {
     }
 }
 
-/// One not-yet-committed fragment, retained so failover can re-append it
-/// to a surviving stream if its original stream dies. Fragments at or
-/// below the dead stream's durable high-water ticket never move — their
-/// stream's disk outlives its thread and recovery reads them from it.
+/// One not-yet-committed fragment (or, during rollback, compensation),
+/// retained so failover can re-append it to a surviving stream if its
+/// original stream dies. Records at or below the dead stream's durable
+/// high-water ticket never move — their stream's disk outlives its
+/// thread and recovery reads them from it.
 struct PendingFrag {
     stream: usize,
     seq: u64,
@@ -322,13 +322,14 @@ pub struct Txn {
     id: u64,
     /// Home stream for the commit/abort record.
     home: usize,
-    /// Per-stream high-water fragment tickets.
+    /// Per-stream high-water tickets of the records it logged: its
+    /// fragments and, while it rolls back, its compensations.
     tickets: HashMap<usize, u64>,
-    /// Undo chain. It travels with the transaction: worker-local while
-    /// the body runs, handed to the group-commit daemon at submit so a
-    /// commit that fails mid-batch can be rolled back daemon-side.
+    /// Undo chain, applied by [`ExecDb::abort`] or by a commit that
+    /// fails.
     undo: Vec<UndoEntry>,
-    /// Volatile fragments, kept for failover rerouting.
+    /// Volatile fragments and compensations, kept for failover
+    /// rerouting.
     pending: Vec<PendingFrag>,
     /// Deferred capture under [`LoggingPolicy::Command`] /
     /// [`LoggingPolicy::Adaptive`]: nothing is appended while the body
@@ -417,8 +418,7 @@ impl Fleet {
     }
 }
 
-/// Everything shared between workers, the appenders, the daemon, and
-/// the supervisor.
+/// Everything shared between workers, the appenders and the supervisor.
 pub(crate) struct Inner {
     pub(crate) cfg: ExecConfig,
     sched: Mutex<Scheduler>,
@@ -443,9 +443,14 @@ pub(crate) struct Inner {
     /// [`ExecDb::crash_image`] appends them so recovery still merges the
     /// commits they hold.
     archived_logs: Mutex<Vec<Disk>>,
-    /// Commit gate: held for every commit-record append + home force and
-    /// for the whole of [`ExecDb::crash_image`].
-    pub(crate) gate: Mutex<()>,
+    /// Commit gate: held for reading while a committer enqueues its commit
+    /// record and that record's force request, for writing across the
+    /// whole of [`ExecDb::crash_image`].
+    gate: RwLock<()>,
+    /// This database's group-commit tally, recorded by its appenders (see
+    /// [`TicketInheritance::group_tally`]); source of the `ExecStats`
+    /// group fields.
+    group_tally: Histogram,
     next_txn: AtomicU64,
     next_lsn: AtomicU64,
     /// `live < min_live_streams`, recomputed on every membership change
@@ -454,14 +459,19 @@ pub(crate) struct Inner {
     pub(crate) stats: Stats,
     /// Shared observability registry (see [`ExecConfig::obs`]).
     pub(crate) obs: Registry,
-    /// Worker-side commit acks (paired with the daemon's
+    /// Worker-side commit acks (paired with the appenders'
     /// `group.completions`).
     commits_acked: Counter,
+    /// `wal.logical_records`: commits whose record was a command record.
+    logical_records: Counter,
+    /// `wal.bytes_saved`: log bytes command logging saved.
+    bytes_saved: Counter,
     /// End-to-end `run_txn` commit latency, µs.
     commit_us: Histogram,
     /// The versioned buffer pool + snapshot registry: the lock-free read
-    /// path beside the locked one. The group-commit daemon is its single
-    /// publisher; [`ExecDb::run_ro_txn`] is its consumer.
+    /// path beside the locked one. Committing workers publish into it
+    /// (serialised by [`Mvcc::commit`]); [`ExecDb::run_ro_txn`] is its
+    /// consumer.
     pub(crate) mvcc: Mvcc,
     /// Read-only snapshot transactions completed.
     ro_txns: Counter,
@@ -470,8 +480,8 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Release `txn`'s locks and wake every waiter the release granted.
-    /// Called by workers (abort) and the daemon (commit durable).
+    /// Release `txn`'s locks and wake every waiter the release granted,
+    /// on abort or once the commit record is durable.
     /// Poison-tolerant: on the release path the lock table must keep
     /// draining even if another worker panicked, or the whole pipeline
     /// wedges behind the dead transaction's locks.
@@ -492,21 +502,9 @@ impl Inner {
         lock_ok(&self.selector).is_dead(stream)
     }
 
-    /// A surviving stream for rerouted work, if any. The salt feeds the
-    /// policy's qp argument too, so mod-based policies spread failover
-    /// traffic (CLR reroutes, undo-path re-homes) across the live fleet
-    /// instead of always walking forward from stream 0.
-    fn pick_live(&self, salt: u64) -> Option<usize> {
-        let mut sel = lock_ok(&self.selector);
-        if sel.live_count() == 0 {
-            return None;
-        }
-        Some(sel.pick(salt as usize, salt))
-    }
-
     /// Quarantine `stream`: take it out of routing, fail its producers
     /// fast, and record the failover. Idempotent — concurrent detectors
-    /// (worker append errors, daemon force errors, supervisor probes)
+    /// (worker append and force errors, supervisor probes)
     /// may all report the same stream; only the first wins.
     pub(crate) fn quarantine_stream(&self, stream: usize, error: &AppenderError) {
         let live = {
@@ -597,7 +595,7 @@ impl Inner {
     /// The ticket space the successor of `old` inherits: the durable
     /// prefix stays forced, everything issued-but-unforced becomes a new
     /// orphan range, and earlier incarnations' orphan ranges carry over.
-    fn inheritance_from(old: &LogAppender) -> TicketInheritance {
+    fn inheritance_from(&self, old: &LogAppender) -> TicketInheritance {
         let issued = old.tickets_issued();
         let forced = old.forced_high();
         let mut orphans = old.orphan_ranges().to_vec();
@@ -608,6 +606,7 @@ impl Inner {
             next_seq: issued + 1,
             forced,
             orphans,
+            group_tally: self.group_tally.clone(),
         }
     }
 
@@ -617,7 +616,7 @@ impl Inner {
         log: LogStream,
         inherit: TicketInheritance,
     ) -> LogAppender {
-        LogAppender::spawn_rejoined(
+        LogAppender::spawn_observed(
             log,
             self.cfg.appender_queue,
             Duration::from_micros(self.cfg.force_delay_us),
@@ -700,15 +699,15 @@ impl Inner {
             stream,
             reason: format!("device probe: {e}"),
         })?;
-        let inherit = Self::inheritance_from(&old);
+        let inherit = self.inheritance_from(&old);
         let recovered = old.take_vaulted().map_err(|e| ExecError::Rejoin {
             stream,
             reason: format!("vault hand-off: {e}"),
         })?;
         let mut disk = recovered.into_disk();
         let faults = disk.detach_faults();
-        let mut reopened = match LogStream::open(disk) {
-            Ok(s) => s,
+        let (mut reopened, records, stats) = match LogStream::open_scanned(disk) {
+            Ok(opened) => opened,
             // Unreachable after a successful probe (the platter is
             // injector-free here), but if it ever fires the device is
             // gone for good: report it — replace_stream is the way out.
@@ -719,7 +718,6 @@ impl Inner {
                 })
             }
         };
-        let (records, stats) = reopened.scan_with_stats();
         let durable_records = records.len() as u64;
         if let Some(handle) = faults {
             reopened.attach_faults(handle);
@@ -754,7 +752,7 @@ impl Inner {
             stream,
             reason: format!("retire: {e}"),
         })?;
-        let inherit = Self::inheritance_from(&old);
+        let inherit = self.inheritance_from(&old);
         let recovered = old.take_vaulted().map_err(|e| ExecError::Rejoin {
             stream,
             reason: format!("vault hand-off: {e}"),
@@ -874,9 +872,9 @@ impl Inner {
     }
 
     /// Capture the full committed-to-be images of every page `txn`
-    /// wrote, for MVCC version publication. Called at commit submit,
-    /// while the transaction's X locks pin each page's content; strict
-    /// 2PL holds those locks until the daemon has published the commit,
+    /// wrote, for MVCC version publication. Called at commit, while the
+    /// transaction's X locks pin each page's content; strict 2PL holds
+    /// those locks until the worker has published the commit,
     /// so the captured images stay exact until they are installed. A
     /// page evicted since the last write is re-read through the ordinary
     /// residency path (its fragment was forced at eviction per the WAL
@@ -899,8 +897,8 @@ impl Inner {
 
     /// Point `pages`' WAL-rule meta entries at `(stream, seq)` — the
     /// just-appended logical commit record that now covers their deferred
-    /// writes. Called by the daemon before the home force; the pages are
-    /// still pinned, so no eviction can race the re-pin.
+    /// writes. Called under the commit gate right after the append; the
+    /// pages are still pinned, so no eviction can race the re-pin.
     pub(crate) fn cover_deferred(&self, pages: &[PageId], stream: usize, seq: u64) {
         for &id in pages {
             let mut shard = self.shards.lock(id);
@@ -914,6 +912,57 @@ impl Inner {
             let mut shard = self.shards.lock(id);
             shard.pool.unpin(id);
         }
+    }
+
+    /// Force every stream `txn` holds a ticket on, except `skip`, through
+    /// that ticket: all requests first, so the log processors work in
+    /// parallel, then each wait. Every failure is reported to failover
+    /// before it returns.
+    fn force_tickets(&self, txn: &Txn, skip: Option<usize>) -> Result<(), ExecError> {
+        let tickets: Vec<(Arc<LogAppender>, u64)> = txn
+            .tickets
+            .iter()
+            .filter(|&(&stream, _)| Some(stream) != skip)
+            .map(|(&stream, &seq)| (self.appenders.get(stream), seq))
+            .collect();
+        for (app, seq) in &tickets {
+            app.request_force(*seq).map_err(|e| self.noted(e))?;
+        }
+        for (app, seq) in &tickets {
+            app.wait_forced(*seq).map_err(|e| self.noted(e))?;
+        }
+        Ok(())
+    }
+
+    /// [`Inner::note_appender_failure`], handing the error back.
+    fn noted(&self, e: ExecError) -> ExecError {
+        self.note_appender_failure(&e);
+        e
+    }
+
+    /// The durable half of [`ExecDb::commit`]: force `txn`'s fragments on
+    /// every stream but its home one, then, under the commit gate, append
+    /// `rec` to the home stream and request its force; wait for the force
+    /// outside the gate. Fragments on the home stream need no force of
+    /// their own: the commit record follows them there. Every failure is
+    /// reported to failover before it returns.
+    fn make_durable(&self, txn: &Txn, rec: LogRecord, unpin: &[PageId]) -> Result<(), ExecError> {
+        self.force_tickets(txn, Some(txn.home))?;
+        let home = self.appenders.get(txn.home);
+        let seq = {
+            // held to enqueue the record and its force request, not for
+            // the wait: the stream serves a crash image's snapshot only
+            // after this force (see ExecDb::crash_image)
+            let _gate = self.gate.read().unwrap_or_else(PoisonError::into_inner);
+            let seq = home.append(rec).map_err(|e| self.noted(e))?;
+            // a command-logged txn's deferred pages now answer to this
+            // record: re-pin their WAL-rule meta before any unpin can
+            // expose them to the evicting flusher
+            self.cover_deferred(unpin, txn.home, seq);
+            home.request_force(seq).map_err(|e| self.noted(e))?;
+            seq
+        };
+        home.wait_forced(seq).map_err(|e| self.noted(e))
     }
 
     /// Ensure `page` is resident in its shard, flushing any evicted dirty
@@ -1135,53 +1184,74 @@ impl Inner {
         Ok(())
     }
 
-    /// Roll back and release: compensations, lock release, abort count,
-    /// then drop the deferred-capture pins on `unpin`. Used by the worker
-    /// abort path and by the daemon when a batch member's commit fails
-    /// (the worker no longer owns the undo chain by then — it travelled
-    /// with the [`CommitReq`]).
-    pub(crate) fn undo_and_release(
-        &self,
-        txn_id: u64,
-        home: usize,
-        undo: Vec<UndoEntry>,
-        unpin: &[PageId],
-    ) {
-        self.undo_apply(txn_id, home, undo);
-        self.release_locks(txn_id);
-        self.stats.aborted.fetch_add(1, Ordering::Relaxed);
-        self.unpin_pages(unpin);
-    }
-
-    /// Walk the undo chain backwards, logging a compensation per undone
-    /// update and restoring before-images in the pool. Best-effort with
-    /// respect to the log: CLRs route around dead streams, and when no
-    /// stream survives the bytes are still restored — but the page LSN
-    /// is left untouched, since advancing it to an LSN that exists on no
-    /// durable log could defeat redo idempotence after recovery.
-    fn undo_apply(&self, txn_id: u64, home: usize, mut undo: Vec<UndoEntry>) {
-        let mut clr_stream = if !self.is_stream_dead(home) {
-            Some(home)
-        } else {
-            self.pick_live(txn_id)
-        };
-        for entry in undo.drain(..).rev() {
-            let clr_lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
-            let rec = entry.compensation(txn_id, clr_lsn);
-            let mut appended: Option<(usize, u64)> = None;
-            while let Some(s) = clr_stream {
-                match self.appenders.get(s).append(rec.clone()) {
-                    Ok(seq) => {
-                        appended = Some((s, seq));
-                        break;
+    /// Append `rec` to the transaction's home stream, routing around
+    /// streams that die mid-append (classify → quarantine → reroute →
+    /// retry on the new home). Returns the stream + ticket.
+    fn append_routed(&self, txn: &mut Txn, rec: &LogRecord) -> Result<(usize, u64), ExecError> {
+        let mut attempts = 0usize;
+        loop {
+            let stream = txn.home;
+            match self.appenders.get(stream).append(rec.clone()) {
+                Ok(seq) => return Ok((stream, seq)),
+                Err(e) => {
+                    self.note_appender_failure(&e);
+                    attempts += 1;
+                    if attempts >= self.cfg.wal.log_streams {
+                        return Err(e);
                     }
-                    Err(e) => {
-                        self.note_appender_failure(&e);
-                        let next = self.pick_live(txn_id);
-                        clr_stream = if next == Some(s) { None } else { next };
+                    if let Err(re) = self.reroute_if_needed(txn) {
+                        // the survivor we rerouted to may itself have
+                        // just died — classify it so this site
+                        // quarantines it too, like the commit path
+                        self.note_appender_failure(&re);
+                        return Err(re);
+                    }
+                    if txn.home == stream {
+                        // no live alternative was found
+                        return Err(e);
                     }
                 }
             }
+        }
+    }
+
+    /// Log `rec`, a record about `page`, for `txn`: append it routed,
+    /// raise the stream's ticket and keep the record pending, so failover
+    /// can move it if its stream dies before a force reaches it.
+    fn ship(&self, txn: &mut Txn, page: PageId, rec: LogRecord) -> Result<(usize, u64), ExecError> {
+        let (stream, seq) = self.append_routed(txn, &rec)?;
+        let high = txn.tickets.entry(stream).or_insert(0);
+        *high = (*high).max(seq);
+        txn.pending.push(PendingFrag {
+            stream,
+            seq,
+            page,
+            rec,
+        });
+        Ok((stream, seq))
+    }
+
+    /// Roll `txn` back and release it: walk the undo chain backwards,
+    /// logging a compensation per undone update (routed and kept pending
+    /// like a fragment) and restoring before-images in the pool, append
+    /// the `Abort` record, then force every stream the transaction logged
+    /// on — rerouting around streams that die — *before* its locks go.
+    /// A later writer of these pages therefore never commits ahead of
+    /// the compensations; otherwise recovery could undo the aborted
+    /// update over the committed one. Best-effort with respect to the
+    /// log: when no stream survives the bytes are still restored, but
+    /// the page LSN is left untouched, since advancing it to an LSN that
+    /// exists on no durable log could defeat redo idempotence after
+    /// recovery. Finally counts the abort and drops the deferred-capture
+    /// pins on `unpin`. Used by the abort path and by a commit that
+    /// fails.
+    pub(crate) fn rollback(&self, mut txn: Txn, unpin: &[PageId]) {
+        let undo = std::mem::take(&mut txn.undo);
+        let logged = !undo.is_empty();
+        for entry in undo.into_iter().rev() {
+            let clr_lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
+            let rec = entry.compensation(txn.id, clr_lsn);
+            let appended = self.ship(&mut txn, entry.page, rec).ok();
             let mut shard = self.shards.lock(entry.page);
             if self.ensure_resident(&mut shard, entry.page).is_err() {
                 // Can't load the page (e.g. every stream dead, eviction
@@ -1189,8 +1259,8 @@ impl Inner {
                 // volatile copy is unreachable anyway.
                 continue;
             }
-            if let Some((s, seq)) = appended {
-                shard.meta.insert(entry.page, (s, seq));
+            if let Some(ticket) = appended {
+                shard.meta.insert(entry.page, ticket);
             }
             if let Some(p) = shard.pool.get_mut(entry.page) {
                 entry.restore(p);
@@ -1199,12 +1269,21 @@ impl Inner {
                 }
             }
         }
-        if let Some(s) = clr_stream {
-            let _ = self
-                .appenders
-                .get(s)
-                .append(LogRecord::Abort { txn: txn_id });
+        let abort = LogRecord::Abort { txn: txn.id };
+        let _ = self.append_routed(&mut txn, &abort);
+        if logged {
+            for _ in 0..self.appenders.len() {
+                let forced = self
+                    .reroute_if_needed(&mut txn)
+                    .and_then(|()| self.force_tickets(&txn, None));
+                if forced.is_ok() {
+                    break;
+                }
+            }
         }
+        self.release_locks(txn.id);
+        self.stats.aborted.fetch_add(1, Ordering::Relaxed);
+        self.unpin_pages(unpin);
     }
 }
 
@@ -1221,21 +1300,20 @@ fn is_pool_exhausted(e: &ExecError) -> bool {
 /// (wrap in [`Arc`] to move between threads).
 pub struct ExecDb {
     inner: Arc<Inner>,
-    commit_tx: Option<SyncSender<CommitReq>>,
-    daemon: Option<std::thread::JoinHandle<()>>,
     supervisor: Option<std::thread::JoinHandle<()>>,
     sup_stop: Arc<AtomicBool>,
 }
 
 impl ExecDb {
-    /// A fresh database with `cfg.wal.log_streams` appender threads, the
-    /// group-commit daemon, and the failover supervisor running.
+    /// A fresh database with `cfg.wal.log_streams` appender threads and
+    /// the failover supervisor running.
     pub fn new(cfg: ExecConfig) -> Self {
         assert!(cfg.pool_shards > 0, "need at least one pool shard");
         let wal = &cfg.wal;
         let force_delay = Duration::from_micros(cfg.force_delay_us);
         let append_wait = Duration::from_millis(cfg.append_wait_ms.max(1));
         let obs = cfg.obs.clone();
+        let group_tally = Histogram::default();
         let provision = |frames| {
             wal.backend
                 .provision(frames)
@@ -1251,6 +1329,10 @@ impl ExecDb {
                     &obs,
                     idx,
                     append_wait,
+                    TicketInheritance {
+                        group_tally: group_tally.clone(),
+                        ..TicketInheritance::default()
+                    },
                 )
             })
             .collect();
@@ -1276,12 +1358,15 @@ impl ExecDb {
                 .map(|_| AtomicBool::new(false))
                 .collect(),
             archived_logs: Mutex::new(Vec::new()),
-            gate: Mutex::new(()),
+            gate: RwLock::new(()),
+            group_tally,
             next_txn: AtomicU64::new(1),
             next_lsn: AtomicU64::new(1),
             degraded: AtomicBool::new(false),
             stats: Stats::default(),
             commits_acked: obs.counter("txn.commits_acked"),
+            logical_records: obs.counter("wal.logical_records"),
+            bytes_saved: obs.counter("wal.bytes_saved"),
             commit_us: obs.histogram("txn.commit_us"),
             mvcc: Mvcc::new(wal.data_pages as usize, &obs),
             ro_txns: obs.counter("mvcc.ro_txns"),
@@ -1289,14 +1374,6 @@ impl ExecDb {
             obs,
             cfg: cfg.clone(),
         });
-        let (commit_tx, commit_rx) = sync_channel(cfg.commit_queue.max(1));
-        let daemon_inner = Arc::clone(&inner);
-        let max_group = cfg.max_group;
-        let dwell = Duration::from_micros(cfg.group_dwell_us);
-        let daemon = std::thread::Builder::new()
-            .name("rmdb-group-commit".into())
-            .spawn(move || run_daemon(daemon_inner, commit_rx, max_group, dwell))
-            .expect("spawn group-commit daemon");
         let sup_stop = Arc::new(AtomicBool::new(false));
         let sup_inner = Arc::clone(&inner);
         let stop = Arc::clone(&sup_stop);
@@ -1306,8 +1383,6 @@ impl ExecDb {
             .expect("spawn failover supervisor");
         ExecDb {
             inner,
-            commit_tx: Some(commit_tx),
-            daemon: Some(daemon),
             supervisor: Some(supervisor),
             sup_stop,
         }
@@ -1618,56 +1693,17 @@ impl ExecDb {
             // ship the fragment to this txn's home log processor, routing
             // around streams that die mid-transaction
             drop(shard);
-            let (stream, seq) = self.append_routed(txn, &rec)?;
-            let high = txn.tickets.entry(stream).or_insert(0);
-            *high = (*high).max(seq);
+            let ticket = self.inner.ship(txn, id, rec)?;
             txn.undo.push(undo);
-            txn.pending.push(PendingFrag {
-                stream,
-                seq,
-                page: id,
-                rec,
-            });
             // apply + publish the ticket atomically w.r.t. the flusher
             shard = self.inner.shards.lock(id);
             self.inner.ensure_resident(&mut shard, id)?;
-            shard.meta.insert(id, (stream, seq));
+            shard.meta.insert(id, ticket);
         }
         let p = shard.pool.get_mut(id).expect("resident page");
         p.write_at(offset, data);
         p.lsn = new_lsn;
         Ok(())
-    }
-
-    /// Append `rec` to the transaction's home stream, routing around
-    /// streams that die mid-append (classify → quarantine → reroute →
-    /// retry on the new home). Returns the stream + ticket.
-    fn append_routed(&self, txn: &mut Txn, rec: &LogRecord) -> Result<(usize, u64), ExecError> {
-        let mut attempts = 0usize;
-        loop {
-            let stream = txn.home;
-            match self.inner.appenders.get(stream).append(rec.clone()) {
-                Ok(seq) => return Ok((stream, seq)),
-                Err(e) => {
-                    self.inner.note_appender_failure(&e);
-                    attempts += 1;
-                    if attempts >= self.inner.cfg.wal.log_streams {
-                        return Err(e);
-                    }
-                    if let Err(re) = self.inner.reroute_if_needed(txn) {
-                        // the survivor we rerouted to may itself have
-                        // just died — classify it so this site
-                        // quarantines it too, like the commit path
-                        self.inner.note_appender_failure(&re);
-                        return Err(re);
-                    }
-                    if txn.home == stream {
-                        // no live alternative was found
-                        return Err(e);
-                    }
-                }
-            }
-        }
     }
 
     /// Spill a deferred transaction to ordinary fragments: append every
@@ -1686,40 +1722,31 @@ impl ExecDb {
         }
         let mut undo = std::mem::take(&mut txn.undo);
         let out = d.spill(&mut &self.inner.shards, &mut undo, |_, id, rec| {
-            let (stream, seq) = self.append_routed(txn, &rec)?;
-            let high = txn.tickets.entry(stream).or_insert(0);
-            *high = (*high).max(seq);
-            txn.pending.push(PendingFrag {
-                stream,
-                seq,
-                page: id,
-                rec,
-            });
-            self.inner.shards.lock(id).meta.insert(id, (stream, seq));
+            let ticket = self.inner.ship(txn, id, rec)?;
+            self.inner.shards.lock(id).meta.insert(id, ticket);
             Ok(())
         });
         txn.undo = undo;
         out
     }
 
-    /// Commit: submit to the group-commit daemon and return a handle the
-    /// caller waits on. Read-only transactions resolve immediately. If
-    /// the transaction's fragments sit on a stream that has since been
-    /// quarantined, they are rerouted here, before submission — the
-    /// daemon only ever forces live streams (or durable prefixes). On
-    /// any failure the transaction is rolled back and its locks released
-    /// before the error returns: the caller never owns cleanup.
-    pub fn commit(&self, mut txn: Txn) -> Result<CommitHandle, ExecError> {
-        let timeout = Duration::from_millis(self.inner.cfg.commit_timeout_ms.max(1));
-        let (reply, rx) = sync_channel(1);
+    /// Commit on the calling worker and return once the outcome is
+    /// decided. A read-only transaction just releases its locks. A writer
+    /// takes the logging decision, reroutes off any quarantined stream,
+    /// captures its page images for MVCC, then makes its commit record
+    /// durable ([`Inner::make_durable`]). Only then does it publish to
+    /// MVCC, drop its deferred pins and release its locks (strict 2PL).
+    /// Every wait is bounded by [`ExecConfig::append_wait_ms`]. On any
+    /// failure the transaction is rolled back and its locks released
+    /// before the error returns: the outcome is determinate, and the
+    /// caller never owns cleanup.
+    pub fn commit(&self, mut txn: Txn) -> Result<(), ExecError> {
         if txn.tickets.is_empty() && txn.deferred.as_ref().is_none_or(Capture::is_empty) {
-            // read-only fast path: nothing to force — and no ack counter,
-            // so `txn.commits_acked` stays paired with the daemon's
-            // `group.completions`
+            // read-only fast path: no commit record, so no ack either —
+            // `txn.commits_acked` stays paired with `group.completions`
             self.inner.release_locks(txn.id);
             self.inner.stats.committed.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Ok(()));
-            return Ok(CommitHandle::new(rx, None, timeout));
+            return Ok(());
         }
         // The logging decision: one Logical record for a deferred txn the
         // cost policy keeps (it doubles as the commit record), or a spill
@@ -1729,52 +1756,46 @@ impl ExecDb {
             Err(e) => {
                 // the spill failed; it already reverted the un-appended
                 // suffix and dropped the pins — roll back what was logged
-                self.inner.undo_and_release(txn.id, txn.home, txn.undo, &[]);
+                self.inner.rollback(txn, &[]);
                 return Err(e);
             }
         };
-        if let Err(e) = self.inner.reroute_if_needed(&mut txn) {
-            self.inner.note_appender_failure(&e);
-            self.inner
-                .undo_and_release(txn.id, txn.home, txn.undo, &unpin);
-            return Err(e);
-        }
-        // capture page images for MVCC publication while this txn's X
-        // locks still pin their content (strict 2PL holds them until the
-        // daemon publishes); a capture failure aborts the commit cleanly
-        let images = match self.inner.capture_images(&txn) {
+        let logical = matches!(commit_rec, LogRecord::Logical { .. });
+        // the page images are captured while this txn's X locks still pin
+        // their content; a capture failure aborts the commit cleanly
+        let durable = self
+            .inner
+            .reroute_if_needed(&mut txn)
+            .inspect_err(|e| self.inner.note_appender_failure(e))
+            .and_then(|()| self.inner.capture_images(&txn))
+            .and_then(|images| {
+                self.inner
+                    .make_durable(&txn, commit_rec, &unpin)
+                    .map(|()| images)
+            });
+        let images = match durable {
             Ok(images) => images,
             Err(e) => {
-                self.inner
-                    .undo_and_release(txn.id, txn.home, txn.undo, &unpin);
+                self.inner.rollback(txn, &unpin);
                 return Err(e);
             }
         };
-        let req = CommitReq {
-            txn: txn.id,
-            home: txn.home,
-            tickets: txn.tickets.into_iter().collect(),
-            undo: txn.undo,
-            images,
-            commit_rec,
-            unpin,
-            bytes_saved,
-            reply,
-        };
-        let tx = self.commit_tx.as_ref().expect("pipeline running");
-        if let Err(send_err) = tx.send(req) {
-            let req = send_err.0;
-            self.inner
-                .undo_and_release(req.txn, req.home, req.undo, &req.unpin);
-            return Err(ExecError::Wal(WalError::Storage(StorageError::Protocol(
-                "group-commit daemon gone",
-            ))));
+        // publish the commit's page versions *before* releasing locks:
+        // the X locks pin the captured images, and they order conflicting
+        // commits' publications
+        self.inner.mvcc.commit(&images);
+        if logical {
+            self.inner.logical_records.inc();
+            self.inner.bytes_saved.add(bytes_saved);
         }
-        Ok(CommitHandle::new(
-            rx,
-            Some(self.inner.commits_acked.clone()),
-            timeout,
-        ))
+        // deferred pins drop only now: the durable logical record is in
+        // the pages' WAL-rule meta entries (set at append time), so
+        // eviction forces through it
+        self.inner.unpin_pages(&unpin);
+        self.inner.release_locks(txn.id);
+        self.inner.stats.committed.fetch_add(1, Ordering::Relaxed);
+        self.inner.commits_acked.inc();
+        Ok(())
     }
 
     /// Run the commit-time logging decision
@@ -1801,9 +1822,9 @@ impl ExecDb {
     }
 
     /// Abort: walk the undo chain backwards, logging a compensation per
-    /// undone update, append the `Abort` record (no force needed), then
-    /// release locks. Compensations route around quarantined streams. A
-    /// still-deferred transaction takes a cheaper exit: none of its
+    /// undone update, append the `Abort` record, force the compensations,
+    /// then release locks ([`Inner::rollback`]). Compensations route
+    /// around quarantined streams. A still-deferred transaction takes a cheaper exit: none of its
     /// writes ever reached a log, so there is nothing to compensate —
     /// its bytes are reverted in memory, its pins dropped, and no log
     /// stream hears of it at all.
@@ -1818,22 +1839,10 @@ impl ExecDb {
             self.inner.stats.aborted.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        self.inner.undo_and_release(txn.id, txn.home, txn.undo, &[]);
+        self.inner.rollback(txn, &[]);
         Ok(())
     }
 
-    /// Run `body` as a transaction with bounded retry: lock conflicts
-    /// abort and back off (seeded exponential + jitter); appender
-    /// failures quarantine the stream and retry on the survivors; a
-    /// fleet below [`ExecConfig::min_live_streams`] sheds the request
-    /// with [`ExecError::Degraded`]; an exhausted budget reports
-    /// [`ExecError::Starved`]. A commit wait that exceeds
-    /// [`ExecConfig::commit_timeout_ms`] surfaces as
-    /// [`ExecError::Timeout`] **without retrying**: the group-commit
-    /// daemon still owns the request and may yet make the original
-    /// commit durable, so re-executing the body could apply the
-    /// transaction twice — the indeterminate outcome belongs to the
-    /// caller.
     /// [`ExecError::is_retryable`], widened for deferred capture: a pool
     /// exhausted by *other* transactions' deferred pins clears as soon as
     /// they commit and unpin, so under Command/Adaptive logging the
@@ -1845,6 +1854,15 @@ impl ExecDb {
             || (is_pool_exhausted(e) && self.inner.cfg.wal.logging != LoggingPolicy::Fragments)
     }
 
+    /// Run `body` as a transaction with bounded retry: lock conflicts
+    /// abort and back off (seeded exponential + jitter); appender
+    /// failures — in the body or at commit — quarantine the stream and
+    /// retry on the survivors; a fleet below
+    /// [`ExecConfig::min_live_streams`] sheds the request with
+    /// [`ExecError::Degraded`]; an exhausted budget reports
+    /// [`ExecError::Starved`]. Retrying a failed commit is safe because
+    /// [`ExecDb::commit`] decides every outcome before it returns: an
+    /// error means the transaction was already rolled back.
     pub fn run_txn<F>(&self, qp: usize, body: F) -> Result<(), ExecError>
     where
         F: Fn(&mut ExecCtx<'_>) -> Result<(), ExecError>,
@@ -1878,32 +1896,24 @@ impl ExecDb {
                 txn: &mut txn,
             };
             match body(&mut ctx) {
-                Ok(()) => {
-                    let commit = self.commit(txn).and_then(CommitHandle::wait);
-                    match commit {
-                        Ok(()) => {
-                            let us = t_start.elapsed().as_micros() as u64;
-                            self.inner.commit_us.record(us);
-                            self.inner
-                                .obs
-                                .emit(EventKind::TxnCommit, txn_id, qp as u64, 0, us);
-                            return Ok(());
-                        }
-                        // Every retryable commit error is *determinate*:
-                        // it was either rejected before submission or
-                        // rolled back daemon-side with locks released —
-                        // no abort here, just retry (the failed stream
-                        // is quarantined by now, so the retry routes
-                        // around it). ExecError::Timeout never lands
-                        // here: the daemon still owns that request and
-                        // may yet commit it, so it is non-retryable and
-                        // returns below.
-                        Err(e) if self.retryable(&e) => {
-                            pause(&mut backoff);
-                        }
-                        Err(e) => return Err(e),
+                Ok(()) => match self.commit(txn) {
+                    Ok(()) => {
+                        let us = t_start.elapsed().as_micros() as u64;
+                        self.inner.commit_us.record(us);
+                        self.inner
+                            .obs
+                            .emit(EventKind::TxnCommit, txn_id, qp as u64, 0, us);
+                        return Ok(());
                     }
-                }
+                    // the commit already rolled back and released its
+                    // locks — no abort here, just retry (the failed
+                    // stream is quarantined by now, so the retry routes
+                    // around it)
+                    Err(e) if self.retryable(&e) => {
+                        pause(&mut backoff);
+                    }
+                    Err(e) => return Err(e),
+                },
                 Err(e) => {
                     if let Some(_holder) = e.lock_conflict() {
                         let page = match &e {
@@ -1960,7 +1970,7 @@ impl ExecDb {
     /// Run `body` as a **read-only snapshot transaction** on the MVCC
     /// read path: capture a snapshot LSN at begin, resolve every page as
     /// "newest committed version at or below that LSN", and never touch
-    /// the lock table, the group-commit gate, or the appender fleet.
+    /// the lock table, the commit gate, or the appender fleet.
     ///
     /// Consequences of that routing:
     /// * no lock conflicts, no deadlock victimisation, no retry loop —
@@ -2017,17 +2027,28 @@ impl ExecDb {
 
     /// A crash-consistent image for [`rmdb_wal::WalDb::recover`].
     ///
-    /// Protocol: hold the commit gate (no commit record can become
-    /// durable inside the window), snapshot the data disk **first**, then
-    /// every log disk. Data-first means any page visible on the data
-    /// snapshot had its fragment forced strictly before the log
-    /// snapshots (WAL rule holds in the image); the gate means any
-    /// durable commit record's fragment forces finished strictly before
-    /// the window (commit atomicity holds in the image). Quarantined
+    /// Protocol: hold the commit gate for writing, snapshot the data disk
+    /// **first**, then every log disk, one after another. Data-first
+    /// means any page visible on the data snapshot had its fragment
+    /// forced strictly before the log snapshots (WAL rule holds in the
+    /// image). Committers hold the gate only while they enqueue their
+    /// commit record and its force request, so no commit record is
+    /// appended inside the window, and every one appended before it has
+    /// its force queued ahead of the snapshot request on its stream. A
+    /// log processor serves a snapshot only after the forces queued
+    /// ahead of it ([`LogAppender::snapshot`]), so each such record is
+    /// durable in its stream's snapshot — and was durable before any
+    /// transaction could read its writes — while its fragments on other
+    /// streams were forced before it was appended (commit atomicity
+    /// holds in the image). Quarantined
     /// streams are included — their durable prefix is exactly what
     /// recovery merges with the survivors' logs.
     pub fn crash_image(&self) -> Result<CrashImage, ExecError> {
-        let _gate = lock_ok(&self.inner.gate);
+        let _gate = self
+            .inner
+            .gate
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         let data = lock_ok(&self.inner.data).disk.snapshot();
         let mut logs = (0..self.inner.appenders.len())
             .map(|i| self.inner.appenders.get(i).snapshot())
@@ -2046,6 +2067,7 @@ impl ExecDb {
     /// Counter snapshot.
     pub fn stats(&self) -> ExecStats {
         let s = &self.inner.stats;
+        let groups = self.inner.group_tally.snapshot();
         ExecStats {
             committed: s.committed.load(Ordering::Relaxed),
             aborted: s.aborted.load(Ordering::Relaxed),
@@ -2053,9 +2075,9 @@ impl ExecDb {
             conflict_retries: s.conflict_retries.load(Ordering::Relaxed),
             starved: s.starved.load(Ordering::Relaxed),
             wal_forces: s.wal_forces.load(Ordering::Relaxed),
-            group_commits: s.group_commits.load(Ordering::Relaxed),
-            commits_grouped: s.commits_grouped.load(Ordering::Relaxed),
-            max_group_size: s.max_group_size.load(Ordering::Relaxed),
+            group_commits: groups.count,
+            commits_grouped: groups.sum,
+            max_group_size: groups.max,
             deadlock_victims: s.deadlock_victims.load(Ordering::Relaxed),
         }
     }
@@ -2136,7 +2158,7 @@ impl ExecDb {
         obs.snapshot()
     }
 
-    /// Stop the supervisor, the daemon, and the appender threads,
+    /// Stop the supervisor and the appender threads,
     /// surfacing any error the pipeline hit. The database is consumed
     /// (its disks die with it — take a [`ExecDb::crash_image`] first to
     /// keep the durable state).
@@ -2149,10 +2171,6 @@ impl ExecDb {
         self.sup_stop.store(true, Ordering::Release);
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
-        }
-        self.commit_tx = None; // daemon exits on channel close
-        if let Some(daemon) = self.daemon.take() {
-            let _ = daemon.join();
         }
         // appender threads exit via LogAppender::drop when Inner drops
     }
@@ -2246,7 +2264,7 @@ mod tests {
         let db = ExecDb::new(small_cfg());
         let mut t = db.begin(0);
         db.write(&mut t, 3, 0, b"hello").unwrap();
-        db.commit(t).unwrap().wait().unwrap();
+        db.commit(t).unwrap();
         let image = db.crash_image().unwrap();
         let (mut recovered, report) = WalDb::recover(image, small_cfg().wal).unwrap();
         assert_eq!(report.redone_updates, 1);
@@ -2259,13 +2277,13 @@ mod tests {
         let db = ExecDb::new(small_cfg());
         let mut t = db.begin(0);
         db.write(&mut t, 1, 0, b"aaaa").unwrap();
-        db.commit(t).unwrap().wait().unwrap();
+        db.commit(t).unwrap();
         let mut t = db.begin(0);
         db.write(&mut t, 1, 0, b"bbbb").unwrap();
         db.abort(t).unwrap();
         let mut t = db.begin(0);
         assert_eq!(db.read(&mut t, 1, 0, 4).unwrap(), b"aaaa");
-        db.commit(t).unwrap().wait().unwrap();
+        db.commit(t).unwrap();
     }
 
     #[test]
@@ -2273,7 +2291,7 @@ mod tests {
         let db = ExecDb::new(small_cfg());
         let mut t1 = db.begin(0);
         db.write(&mut t1, 2, 0, b"keep").unwrap();
-        db.commit(t1).unwrap().wait().unwrap();
+        db.commit(t1).unwrap();
         let mut t2 = db.begin(1);
         db.write(&mut t2, 5, 0, b"lose").unwrap();
         // no commit for t2 — crash now
@@ -2298,7 +2316,7 @@ mod tests {
             for page in 0..32u64 {
                 db.write(&mut t, page, 0, &[round; 8]).unwrap();
             }
-            db.commit(t).unwrap().wait().unwrap();
+            db.commit(t).unwrap();
         }
         assert!(db.stats().wal_forces > 0, "evictions must have forced");
         let image = db.crash_image().unwrap();
@@ -2529,7 +2547,7 @@ mod tests {
         );
         assert!(db.appender(victim).orphaned(old_seq));
         // commit re-appends the orphan and succeeds
-        db.commit(t).unwrap().wait().unwrap();
+        db.commit(t).unwrap();
         let snap = db.obs().snapshot();
         assert!(snap.counter("failover.rerouted_fragments") >= Some(1));
         let image = db.crash_image().unwrap();
@@ -2709,59 +2727,48 @@ mod tests {
     }
 
     #[test]
-    fn run_txn_does_not_retry_indeterminate_commit_timeout() {
-        // A timed-out commit wait leaves the request owned by the
-        // group-commit daemon, which commits it once the device stall
-        // clears — retrying would apply the transaction twice. run_txn
-        // must return the Timeout without re-executing the body.
+    fn stalled_commit_force_commits_exactly_once() {
+        // The committing worker waits out a 300 ms stall of its commit
+        // force inside `append_wait_ms`: the commit lands once, and the
+        // body is never re-executed.
         let mut cfg = small_cfg();
         cfg.wal.log_streams = 1;
-        cfg.commit_timeout_ms = 40;
         let db = ExecDb::new(cfg.clone());
-        // stall the first log write (the commit force) past the waiter's
-        // deadline, but let it complete; the device stays healthy after
+        // stall the first log write (the commit force); the device stays
+        // healthy after
         db.inject_stream_fault(0, FaultPlan::new().stick_write(0, 300))
             .unwrap();
         let bodies = AtomicU64::new(0);
-        let err = db
-            .run_txn(0, |ctx| {
-                bodies.fetch_add(1, Ordering::Relaxed);
-                ctx.write(1, 0, b"once")
-            })
-            .unwrap_err();
-        match err {
-            ExecError::Timeout { what, .. } => assert_eq!(what, "group commit"),
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        assert_eq!(
-            bodies.load(Ordering::Relaxed),
-            1,
-            "an indeterminate commit timeout must not re-execute the body"
+        let t0 = Instant::now();
+        db.run_txn(0, |ctx| {
+            bodies.fetch_add(1, Ordering::Relaxed);
+            ctx.write(1, 0, b"once")
+        })
+        .unwrap();
+        assert!(
+            t0.elapsed() >= Duration::from_millis(300),
+            "the commit returned before its force"
         );
-        // the daemon still owned the request: once the stall cleared the
-        // original commit became durable anyway — exactly the outcome a
-        // retry would have doubled
+        assert_eq!(bodies.load(Ordering::Relaxed), 1, "body re-executed");
+        let stats = db.stats();
+        assert_eq!((stats.committed, stats.aborted), (1, 0));
+        assert_eq!(stats.commits_grouped, 1);
         let image = db.crash_image().unwrap();
-        let (mut recovered, _) = WalDb::recover(image, cfg.wal).unwrap();
+        let (mut recovered, report) = WalDb::recover(image, cfg.wal).unwrap();
+        assert_eq!(report.committed_txns.len(), 1);
         let t = recovered.begin();
         assert_eq!(recovered.read(t, 1, 0, 4).unwrap(), b"once");
-        // the daemon bumps `committed` after the gate releases; give the
-        // bookkeeping a moment to land
-        let t0 = Instant::now();
-        while db.stats().committed != 1 && t0.elapsed() < Duration::from_secs(5) {
-            std::thread::yield_now();
-        }
-        assert_eq!(db.stats().committed, 1);
     }
 
     #[test]
-    fn commit_wait_times_out_with_typed_error_against_stuck_appender() {
-        // satellite: the commit-gate timeout path. One stream whose
-        // device stalls 2 s per I/O; commit deadline 50 ms.
+    fn wedged_device_fails_commit_within_append_wait_and_rolls_back() {
+        // One stream whose device wedges for 2 s on the commit force;
+        // force waits are bounded at 200 ms. The commit must fail with a
+        // typed appender error inside that bound, with the transaction
+        // already rolled back and its locks released.
         let mut cfg = small_cfg();
         cfg.wal.log_streams = 1;
-        cfg.commit_timeout_ms = 50;
-        cfg.append_wait_ms = 400;
+        cfg.append_wait_ms = 200;
         let db = ExecDb::new(cfg);
         let mut t = db.begin(0);
         db.write(&mut t, 1, 0, b"stuck").unwrap();
@@ -2769,19 +2776,32 @@ mod tests {
         db.inject_stream_fault(0, FaultPlan::new().stick_write(0, 2_000).fail_from_write(1))
             .unwrap();
         let t0 = Instant::now();
-        let err = db.commit(t).unwrap().wait().unwrap_err();
+        let err = db.commit(t).unwrap_err();
         let waited = t0.elapsed();
         match err {
-            ExecError::Timeout { what, waited_ms } => {
-                assert_eq!(what, "group commit");
-                assert!(waited_ms >= 50);
-            }
-            other => panic!("expected Timeout, got {other:?}"),
+            ExecError::Appender {
+                stream: 0,
+                error: AppenderError::Stalled { what: "force", .. },
+            } => {}
+            other => panic!("expected a stalled force, got {other:?}"),
         }
         assert!(
-            waited < Duration::from_millis(1_500),
-            "wait returned in {waited:?}, after the stall rather than the deadline"
+            waited >= Duration::from_millis(200) && waited < Duration::from_millis(1_500),
+            "commit failed after {waited:?}, not at the 200 ms force bound"
         );
+        assert!(
+            db.is_stream_dead(0),
+            "the wedged stream must be quarantined"
+        );
+        assert_eq!(db.stats().aborted, 1);
+        assert_eq!(db.stats().committed, 0);
+        // rolled back and unlocked: a fresh txn takes the page's lock at
+        // once and reads the before-image
+        let mut t = db.begin(0);
+        let t1 = Instant::now();
+        assert_eq!(db.read(&mut t, 1, 0, 5).unwrap(), vec![0u8; 5]);
+        assert!(t1.elapsed() < LOCK_WAIT_TIMEOUT / 2, "lock still held");
+        db.commit(t).unwrap();
     }
 
     #[test]
@@ -2866,7 +2886,7 @@ mod tests {
         // committed effects are visible live, through the pinned pages
         let mut t = db.begin(0);
         assert_eq!(db.read(&mut t, 4, 0, 8).unwrap(), 12u64.to_le_bytes());
-        db.commit(t).unwrap().wait().unwrap();
+        db.commit(t).unwrap();
         let snap = db.obs().snapshot();
         assert!(snap.counter("wal.logical_records") >= Some(2));
         assert!(snap.counter("wal.bytes_saved") > Some(0));
@@ -2921,7 +2941,7 @@ mod tests {
         let mut t = db.begin(0);
         assert_eq!(db.read(&mut t, 6, 0, 4).unwrap(), b"base");
         assert_eq!(db.read(&mut t, 7, 0, 8).unwrap(), 0u64.to_le_bytes());
-        db.commit(t).unwrap().wait().unwrap();
+        db.commit(t).unwrap();
         let image = db.crash_image().unwrap();
         let (mut recovered, report) = WalDb::recover(image, cfg.wal).unwrap();
         // the aborted txn hit the log zero times: no fragments, no CLRs,

@@ -104,8 +104,6 @@ pub enum ExecError {
     /// A log-appender failure, tagged with the stream it happened on so
     /// failover can quarantine the right one.
     Appender { stream: usize, error: AppenderError },
-    /// A bounded wait gave up (e.g. [`crate::CommitHandle::wait`]).
-    Timeout { what: &'static str, waited_ms: u64 },
     /// The retry budget ran out without a commit.
     Starved { attempts: u64 },
     /// Degraded mode: fewer than the configured minimum of log streams
@@ -124,21 +122,15 @@ impl ExecError {
     /// Whether [`crate::ExecDb::run_txn`] should abort, back off, and try
     /// again: lock conflicts and appender failures are retryable (a
     /// failed stream is quarantined and the retry routes around it);
-    /// degraded mode, starvation, and poisoning are terminal.
-    ///
-    /// [`ExecError::Timeout`] is deliberately **not** retryable: a
-    /// timed-out [`crate::CommitHandle::wait`] leaves the request owned
-    /// by the group-commit daemon, which may still force the commit
-    /// record after the waiter gives up (e.g. a device stall that clears
-    /// inside the daemon's own bounded waits). Re-executing the body
-    /// then would apply the transaction's effects twice. The outcome is
-    /// *indeterminate* — only the caller can decide what that means.
+    /// degraded mode, starvation, and poisoning are terminal. A commit
+    /// that fails has already been rolled back by
+    /// [`crate::ExecDb::commit`], so retrying it can never apply the
+    /// transaction twice.
     pub fn is_retryable(&self) -> bool {
         match self {
             ExecError::Wal(WalError::LockConflict { .. }) => true,
             ExecError::Appender { .. } => true,
-            ExecError::Timeout { .. }
-            | ExecError::Wal(_)
+            ExecError::Wal(_)
             | ExecError::Starved { .. }
             | ExecError::Degraded { .. }
             | ExecError::Poisoned { .. }
@@ -161,9 +153,6 @@ impl std::fmt::Display for ExecError {
             ExecError::Wal(e) => write!(f, "{e}"),
             ExecError::Appender { stream, error } => {
                 write!(f, "log stream {stream}: {error}")
-            }
-            ExecError::Timeout { what, waited_ms } => {
-                write!(f, "{what} timed out after {waited_ms} ms")
             }
             ExecError::Starved { attempts } => {
                 write!(f, "transaction starved after {attempts} attempts")

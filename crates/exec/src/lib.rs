@@ -9,12 +9,15 @@
 //! | query processor | caller worker ([`Executor`] or any thread) |
 //! | log processor | [`LogAppender`] — one per log stream |
 //! | back-end controller, scheduler | [`ExecDb`] lock path + wait slots |
-//! | back-end controller, commit | group-commit daemon ([`CommitHandle`]) |
+//! | back-end controller, commit | the committing worker ([`ExecDb::commit`]) |
 //! | recovery supervisor | health-check thread ([`supervisor`]) |
 //!
 //! Fragments flow from workers to their transaction's log processor over
-//! bounded channels; commit forces are batched across streams by the
-//! group-commit daemon; the monolithic engine mutex is decomposed into a
+//! bounded channels. A committing worker forces its other streams'
+//! fragments, appends its commit record and waits on its home log
+//! processor's force; the log processor folds every commit queued behind
+//! an in-flight force into the next one (group commit, with no dwell).
+//! The monolithic engine mutex is decomposed into a
 //! scheduler mutex, sharded buffer-pool locks and per-stream append
 //! state. Crash images taken from a live pipeline recover through the
 //! ordinary [`rmdb_wal::WalDb::recover`] path — same log format, same
@@ -60,14 +63,12 @@ pub mod appender;
 pub mod db;
 pub mod error;
 pub mod executor;
-pub mod group;
 pub mod supervisor;
 
 pub use appender::{AppenderProbe, LogAppender, TicketInheritance};
 pub use db::{ExecConfig, ExecCtx, ExecDb, ExecStats, RejoinReport, SnapshotCtx, Txn};
 pub use error::{AppenderError, ExecError};
 pub use executor::{Executor, JobHandle};
-pub use group::CommitHandle;
 
 /// Poison-tolerant lock helpers shared by the pipeline's actors.
 pub(crate) mod sync {

@@ -22,7 +22,7 @@
 //!   long batch or a slow-but-working device.
 //!
 //! Quarantining goes through [`Inner::quarantine_stream`] — the same
-//! idempotent path worker append errors and daemon force errors use, so
+//! idempotent path worker append and force errors use, so
 //! whichever detector fires first wins and the rest are no-ops. The
 //! supervisor is strictly an accelerator: correctness never depends on
 //! it (producers discover failures synchronously too), it just shortens

@@ -61,7 +61,7 @@ fn measure_cell(workers: usize, streams: usize, secs: f64) -> f64 {
     debug_assert_eq!(
         snap.counter("txn.commits_acked"),
         snap.counter("group.completions"),
-        "commit acks must match group-commit completions"
+        "commit acks must match durable commit records"
     );
     committed.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64()
 }

@@ -7,7 +7,7 @@
 //! snapshot into a continuum: every published commit produces a new
 //! consistent as-of point, and each read-only transaction picks one at
 //! begin and reads it without ever touching the page-level lock table or
-//! waiting on the group-commit gate.
+//! waiting on the commit gate.
 //!
 //! Three pieces:
 //!
@@ -17,22 +17,22 @@
 //! * [`SnapshotRegistry`] — tracks the highest *published* commit LSN
 //!   and the set of open snapshots; their minimum is the **GC
 //!   watermark** that bounds every chain.
-//! * [`Mvcc`] — the facade the execution layer holds. The group-commit
-//!   daemon (the single publisher) calls [`Mvcc::commit`] with the page
-//!   images of each durable commit; read-only transactions call
+//! * [`Mvcc`] — the facade the execution layer holds. Each committing
+//!   worker calls [`Mvcc::commit`] with the page images of its durable
+//!   commit; read-only transactions call
 //!   [`Mvcc::begin_snapshot`] + [`Mvcc::read_at`]; a background sweeper
 //!   calls [`Mvcc::gc`].
 //!
 //! ## The snapshot-consistency argument
 //!
-//! 1. Commits are published by **one** thread (the group-commit daemon),
-//!    which serializes on [`Mvcc::commit`]: assign the next commit LSN,
-//!    install every page version, *then* advance `published`. So when a
-//!    reader captures `snap = published`, every commit ≤ `snap` is fully
+//! 1. Committing workers publish through [`Mvcc::commit`], which
+//!    serializes them on one lock: assign the next commit LSN, install
+//!    every page version, *then* advance `published`. So when a reader
+//!    captures `snap = published`, every commit ≤ `snap` is fully
 //!    installed — no torn commits inside a snapshot.
-//! 2. Strict 2PL on the write side holds X locks until the daemon has
-//!    published the commit, so two commits touching the same page are
-//!    totally ordered — chains are ascending by construction.
+//! 2. Strict 2PL on the write side holds X locks until the committer has
+//!    published, so two commits touching the same page are totally
+//!    ordered — chains are ascending by construction.
 //! 3. The GC watermark is the minimum open snapshot LSN (else
 //!    `published`), and pruning keeps the newest version at or below the
 //!    watermark. Every open snapshot sits at or above the watermark, so
@@ -65,8 +65,7 @@ pub struct Mvcc {
     last_commit: AtomicU64,
     /// Serializes [`Mvcc::commit`]: LSN assignment, installs, and the
     /// publish store happen as one atomic step with respect to other
-    /// committers. In practice the group-commit daemon is the only
-    /// caller, so this lock is uncontended insurance.
+    /// committers — concurrent committing workers publish through it.
     publish_lock: Mutex<()>,
     obs: Registry,
 }
@@ -86,7 +85,7 @@ impl Mvcc {
     /// Publish one durable commit: assign the next commit LSN, install
     /// `images` as that commit's page versions, advance `published`, and
     /// return the assigned LSN. Call this only once the commit's log
-    /// records are durable (the group-commit daemon calls it right after
+    /// records are durable (the committing worker calls it right after
     /// the force, before releasing the transaction's locks).
     ///
     /// An empty `images` slice still consumes an LSN and publishes it —

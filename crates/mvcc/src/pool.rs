@@ -2,8 +2,8 @@
 //!
 //! Each data page id owns a **version chain** — a vector of
 //! `(commit_lsn, Arc<Page>)` entries kept in ascending commit-LSN order.
-//! The single publisher (the group-commit daemon, via
-//! [`crate::Mvcc::commit`]) appends one entry per page a commit wrote;
+//! Each committing worker, through the serialized
+//! [`crate::Mvcc::commit`], appends one entry per page its commit wrote;
 //! readers resolve "the newest version at or below my snapshot LSN"
 //! with a binary search and clone the [`Arc`], so a page image is never
 //! copied on the read path and never freed while any snapshot can still

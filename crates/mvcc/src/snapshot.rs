@@ -1,7 +1,7 @@
 //! The snapshot registry: who is reading as-of which commit LSN.
 //!
 //! A **commit LSN** is a position in the total order of published
-//! commits (assigned by the single publisher, the group-commit daemon).
+//! commits (assigned under [`crate::Mvcc::commit`]'s publish lock).
 //! The registry tracks two things:
 //!
 //! * `published` — the highest commit LSN whose versions are fully

@@ -51,7 +51,8 @@ pub enum EventKind {
     TxnStarved = 4,
     /// A log stream forced its tail to disk (payload: force latency µs).
     StreamForce = 5,
-    /// The group-commit daemon flushed a batch (payload: batch size).
+    /// A log force made commit records durable (stream set; payload:
+    /// commit records it covered).
     GroupCommitBatch = 6,
     /// The buffer pool evicted a page (page id set).
     PoolEviction = 7,

@@ -1,7 +1,7 @@
 //! Observability for the recovery-machine pipeline: metrics + events.
 //!
 //! The commit/recovery pipeline is a bank of real threads (log-processor
-//! appenders, the group-commit daemon, restart redo workers). Answering
+//! appenders, committing workers, restart redo workers). Answering
 //! "where did this commit's latency go?" or "what did recovery actually
 //! replay?" needs two complementary instruments, both cheap enough to
 //! leave on in the hot path:

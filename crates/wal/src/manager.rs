@@ -64,17 +64,35 @@ impl ParallelLogManager {
         policy: SelectionPolicy,
         seed: u64,
     ) -> Result<Self, StorageError> {
+        ParallelLogManager::open_scanned(disks, policy, seed).map(|(log, _)| log)
+    }
+
+    /// [`ParallelLogManager::open`] that also returns, per stream, the
+    /// records and salvage stats of the same single pass over its log
+    /// pages ([`LogStream::open_scanned`]): each record tagged by the
+    /// log-disk frame holding its first byte — the input to recovery
+    /// analysis — without reading any frame twice.
+    #[allow(clippy::type_complexity)]
+    pub fn open_scanned(
+        disks: Vec<Disk>,
+        policy: SelectionPolicy,
+        seed: u64,
+    ) -> Result<(Self, Vec<(Vec<IndexedRecord>, ScanStats)>), StorageError> {
         assert!(!disks.is_empty(), "need at least one log disk");
         let n = disks.len();
-        let streams = disks
-            .into_iter()
-            .map(LogStream::open)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ParallelLogManager {
+        let mut streams = Vec::with_capacity(n);
+        let mut scans = Vec::with_capacity(n);
+        for disk in disks {
+            let (stream, records, stats) = LogStream::open_scanned(disk)?;
+            streams.push(stream);
+            scans.push((records, stats));
+        }
+        let log = ParallelLogManager {
             streams,
             selector: Selector::new(policy, n, seed),
             fragments: vec![0; n],
-        })
+        };
+        Ok((log, scans))
     }
 
     /// Number of log processors.
@@ -132,8 +150,7 @@ impl ParallelLogManager {
     }
 
     /// [`ParallelLogManager::scan_all`] with per-stream salvage stats and
-    /// each record tagged by the log-disk frame holding its first byte —
-    /// the input to recovery analysis.
+    /// each record tagged by the log-disk frame holding its first byte.
     pub fn scan_all_indexed(&self) -> Vec<(Vec<IndexedRecord>, ScanStats)> {
         self.streams.iter().map(|s| s.scan_indexed()).collect()
     }

@@ -131,10 +131,11 @@ pub fn run(
     let t_start = Instant::now();
     let workers = engine.workers.max(1);
     let CrashImage { mut data, logs } = image;
-    let mut log = ParallelLogManager::open(logs, cfg.policy, cfg.seed)?;
+    // one pass over each log: reopen it and take its records
+    let (mut log, scans) = ParallelLogManager::open_scanned(logs, cfg.policy, cfg.seed)?;
 
     // ---- Phase 1: analysis ----
-    let a = analyze(&log.scan_all_indexed(), engine.checkpoint_bound);
+    let a = analyze(&scans, engine.checkpoint_bound);
     let mut report = RestartReport {
         workers,
         records_skipped: a.records_skipped,

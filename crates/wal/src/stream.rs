@@ -116,6 +116,18 @@ impl LogStream {
     /// the crash, rewrites the cut page, and bumps the epoch so stale
     /// pages beyond the frontier can never be mistaken for live ones.
     pub fn open(disk: impl Into<Disk>) -> Result<Self, StorageError> {
+        LogStream::open_scanned(disk).map(|(stream, _, _)| stream)
+    }
+
+    /// [`LogStream::open`] that also returns what the reopened stream's
+    /// [`LogStream::scan_indexed`] would, from the same single pass over
+    /// the log pages: every durable record tagged with its frame, plus
+    /// the pass's salvage stats (a corrupt page that ended the valid run,
+    /// and every retried read). Recovery takes its records from here
+    /// instead of reading each frame a second time.
+    pub fn open_scanned(
+        disk: impl Into<Disk>,
+    ) -> Result<(Self, Vec<IndexedRecord>, ScanStats), StorageError> {
         let disk = disk.into();
         let (start_page, old_epoch) = match read_page_retry(&disk, 0, IO_RETRIES) {
             Ok(h) if h.id == HEADER_ID => (
@@ -125,38 +137,11 @@ impl LogStream {
             // No (or torn) header: a brand-new disk.
             _ => (1, 0),
         };
+        // no epoch cap: every epoch in the run is below the new one
+        let run = PageRun::read(&disk, start_page, u64::MAX);
+        let (records, valid) = run.decode();
 
-        // collect the valid page run: allocated, decodable, id matches,
-        // epochs never decrease
-        let mut pages: Vec<(u64, Vec<u8>)> = Vec::new(); // (frame, data bytes)
-        let mut prev_epoch = 0u64;
-        let mut frame = start_page;
-        while frame < disk.capacity() {
-            // a corrupt (torn) log page is the durability frontier: the
-            // decodable prefix before it is salvaged, everything at and
-            // beyond it was in flight when the crash hit
-            match read_page_retry(&disk, frame, IO_RETRIES) {
-                Ok(p) if p.id == PageId(frame) => {
-                    let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
-                    let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
-                    if used > USABLE || epoch < prev_epoch {
-                        break; // stale frontier (or garbage)
-                    }
-                    prev_epoch = epoch;
-                    pages.push((frame, p.read_at(PAGE_HDR, used).to_vec()));
-                    frame += 1;
-                }
-                _ => break,
-            }
-        }
-
-        // find the end of the last complete record
-        let bytes: Vec<u8> = pages.iter().flat_map(|(_, b)| b.iter().copied()).collect();
-        let mut cursor = bytes.as_slice();
-        while LogRecord::decode(&mut cursor).is_some() {}
-        let valid = bytes.len() - cursor.len();
-
-        let epoch = old_epoch.max(prev_epoch) + 1;
+        let epoch = old_epoch.max(run.last_epoch) + 1;
         let mut s = LogStream {
             disk,
             next_page: start_page,
@@ -171,23 +156,22 @@ impl LogStream {
 
         // rewrite/locate the frontier: keep whole pages fully inside the
         // valid prefix; the page containing the cut is rewritten shorter
-        let mut remaining = valid;
-        for (frame, data) in &pages {
-            if remaining >= data.len() {
-                remaining -= data.len();
+        for (i, &(off, frame)) in run.extents.iter().enumerate() {
+            let end = run.extents.get(i + 1).map_or(run.bytes.len(), |&(o, _)| o);
+            if valid >= end {
                 s.next_page = frame + 1;
-                if remaining == 0 {
+                if valid == end {
                     break;
                 }
             } else {
                 // cut inside this page: rewrite it with only the valid bytes
-                s.next_page = *frame;
-                s.write_log_page(&data[..remaining])?;
+                s.next_page = frame;
+                s.write_log_page(&run.bytes[off..valid])?;
                 break;
             }
         }
         s.write_header()?;
-        Ok(s)
+        Ok((s, records, run.stats))
     }
 
     /// Attach a fault injector to the underlying log disk.
@@ -315,59 +299,12 @@ impl LogStream {
         (indexed.into_iter().map(|r| r.rec).collect(), stats)
     }
 
-    /// Collect the durable byte stream: per-page `(start offset, frame)`
-    /// extents, the concatenated record bytes, and salvage stats.
-    fn collect_pages(&self) -> (Vec<(usize, u64)>, Vec<u8>, ScanStats) {
-        let mut stats = ScanStats::default();
-        let mut bytes = Vec::new();
-        let mut extents: Vec<(usize, u64)> = Vec::new();
-        let mut prev_epoch = 0u64;
-        let mut page = self.start_page;
-        while page < self.disk.capacity() {
-            match read_page_counted(&self.disk, page, IO_RETRIES, &mut stats.retried_reads) {
-                Ok(p) if p.id == PageId(page) => {
-                    let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
-                    let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
-                    if used > USABLE || epoch < prev_epoch || epoch > self.epoch {
-                        break;
-                    }
-                    prev_epoch = epoch;
-                    extents.push((bytes.len(), page));
-                    bytes.extend_from_slice(p.read_at(PAGE_HDR, used));
-                    page += 1;
-                }
-                Err(StorageError::Corrupt { .. }) => {
-                    stats.corrupt_pages += 1;
-                    break;
-                }
-                _ => break,
-            }
-        }
-        (extents, bytes, stats)
-    }
-
     /// [`LogStream::scan_with_stats`] with each record tagged by the frame
     /// holding its first byte — the input to checkpoint-bounded restart
     /// analysis (see [`IndexedRecord`]).
     pub fn scan_indexed(&self) -> (Vec<IndexedRecord>, ScanStats) {
-        let (extents, bytes, stats) = self.collect_pages();
-        let mut records = Vec::new();
-        let mut cursor = bytes.as_slice();
-        loop {
-            let start = bytes.len() - cursor.len();
-            let Some(rec) = LogRecord::decode(&mut cursor) else {
-                break;
-            };
-            // extent covering `start`: the last one whose offset is ≤ start
-            let i = extents.partition_point(|&(off, _)| off <= start);
-            let (ext_off, frame) = extents[i - 1];
-            records.push(IndexedRecord {
-                rec,
-                frame,
-                frame_start: ext_off == start,
-            });
-        }
-        (records, stats)
+        let run = PageRun::read(&self.disk, self.start_page, self.epoch);
+        (run.decode().0, run.stats)
     }
 
     /// Advance the durable truncation point past everything written so far.
@@ -411,7 +348,7 @@ impl LogStream {
     /// boundaries the expensive way and checks `target` begins one.
     #[cfg(debug_assertions)]
     fn assert_record_aligned(&self, target: u64) {
-        let (extents, bytes, _) = self.collect_pages();
+        let PageRun { extents, bytes, .. } = PageRun::read(&self.disk, self.start_page, self.epoch);
         let mut starts = std::collections::BTreeSet::new();
         let mut off = 0usize;
         loop {
@@ -432,6 +369,77 @@ impl LogStream {
     /// Snapshot the log disk (crash image) — same backend as the stream.
     pub fn disk_snapshot(&self) -> Disk {
         self.disk.snapshot()
+    }
+}
+
+/// The valid run of log pages from a scan start: the one page reader
+/// behind [`LogStream::open_scanned`] and [`LogStream::scan_indexed`].
+struct PageRun {
+    /// Per-page `(offset of its first byte in bytes, frame)`.
+    extents: Vec<(usize, u64)>,
+    /// The run's record bytes, concatenated.
+    bytes: Vec<u8>,
+    /// Epoch of the run's last page (0 for an empty run).
+    last_epoch: u64,
+    stats: ScanStats,
+}
+
+impl PageRun {
+    /// Read pages from `start` while they are allocated, decodable, carry
+    /// their own frame id, and have non-decreasing epochs no greater than
+    /// `max_epoch`. A corrupt (torn) page is the durability frontier: it
+    /// is counted and ends the run, salvaging the decodable prefix before
+    /// it; everything at and beyond it was in flight when the crash hit.
+    fn read(disk: &Disk, start: u64, max_epoch: u64) -> Self {
+        let mut run = PageRun {
+            extents: Vec::new(),
+            bytes: Vec::new(),
+            last_epoch: 0,
+            stats: ScanStats::default(),
+        };
+        let mut page = start;
+        while page < disk.capacity() {
+            match read_page_counted(disk, page, IO_RETRIES, &mut run.stats.retried_reads) {
+                Ok(p) if p.id == PageId(page) => {
+                    let used = u32::from_le_bytes(p.read_at(0, 4).try_into().unwrap()) as usize;
+                    let epoch = u64::from_le_bytes(p.read_at(4, 8).try_into().unwrap());
+                    if used > USABLE || epoch < run.last_epoch || epoch > max_epoch {
+                        break; // stale frontier (or garbage)
+                    }
+                    run.last_epoch = epoch;
+                    run.extents.push((run.bytes.len(), page));
+                    run.bytes.extend_from_slice(p.read_at(PAGE_HDR, used));
+                    page += 1;
+                }
+                Err(StorageError::Corrupt { .. }) => {
+                    run.stats.corrupt_pages += 1;
+                    break;
+                }
+                _ => break,
+            }
+        }
+        run
+    }
+
+    /// Decode every complete record, tagged with its frame; also returns
+    /// the end offset of the last one (the valid prefix length).
+    fn decode(&self) -> (Vec<IndexedRecord>, usize) {
+        let mut records = Vec::new();
+        let mut cursor = self.bytes.as_slice();
+        loop {
+            let start = self.bytes.len() - cursor.len();
+            let Some(rec) = LogRecord::decode(&mut cursor) else {
+                return (records, start);
+            };
+            // extent covering `start`: the last one whose offset is ≤ start
+            let i = self.extents.partition_point(|&(off, _)| off <= start);
+            let (ext_off, frame) = self.extents[i - 1];
+            records.push(IndexedRecord {
+                rec,
+                frame,
+                frame_start: ext_off == start,
+            });
+        }
     }
 }
 
@@ -560,6 +568,32 @@ mod tests {
             // crash + reopen
             s = LogStream::open(s.disk_snapshot()).unwrap();
             assert_eq!(s.scan(), expected, "round {round}");
+        }
+    }
+
+    #[test]
+    fn open_scanned_matches_a_rescan_of_the_reopened_stream() {
+        // clean tail, a record cut across pages, and a torn middle page:
+        // the one-pass records and stats must equal a second full scan
+        let mut s = LogStream::create(64);
+        for i in 0..12 {
+            s.append(&big_update(i, USABLE / 3)).unwrap();
+        }
+        s.force().unwrap();
+        let clean = s.disk_snapshot();
+        s.append(&big_update(99, 2 * USABLE)).unwrap(); // cut by the crash
+        let cut = s.disk_snapshot();
+        let mut torn = s.disk_snapshot();
+        torn.write_partial(
+            3,
+            &[0xA5; rmdb_storage::FRAME_SIZE],
+            rmdb_storage::FRAME_SIZE / 2,
+        )
+        .unwrap();
+        for (name, disk) in [("clean", clean), ("cut", cut), ("torn", torn)] {
+            let again = LogStream::open(disk.snapshot()).unwrap().scan_indexed();
+            let (_, records, stats) = LogStream::open_scanned(disk).unwrap();
+            assert_eq!((records, stats), again, "{name}");
         }
     }
 

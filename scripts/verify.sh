@@ -40,7 +40,7 @@ cargo build --release -p rmdb-bench --bin scaling
 cargo build --release -p rmdb-bench --bin lsm
 cargo test -q
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # compile every criterion bench without running it: bench targets are not
 # covered by `cargo test`/`cargo build`, so struct-literal drift in a bench
 # otherwise ships silently and breaks the next perf investigation

@@ -5,8 +5,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recovery_machines::exec::{ExecConfig, ExecDb, Executor};
-use recovery_machines::wal::{WalConfig, WalDb};
+use recovery_machines::restart::{restart, RestartConfig};
+use recovery_machines::storage::{Disk, FaultPlan};
+use recovery_machines::wal::{CrashImage, WalConfig, WalDb};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
@@ -29,7 +33,7 @@ fn bank_cfg(seed: u64) -> ExecConfig {
 fn read_balance(db: &ExecDb, ctx_page: u64) -> u64 {
     let mut t = db.begin(0);
     let bytes = db.read(&mut t, ctx_page, 0, 8).expect("read balance");
-    db.commit(t).expect("commit").wait().expect("ack");
+    db.commit(t).expect("commit");
     u64::from_le_bytes(bytes.try_into().unwrap())
 }
 
@@ -38,7 +42,7 @@ fn seed_accounts(db: &ExecDb) {
     for acct in 0..ACCOUNTS {
         db.write(&mut t, acct, 0, &INITIAL.to_le_bytes()).unwrap();
     }
-    db.commit(t).unwrap().wait().unwrap();
+    db.commit(t).unwrap();
 }
 
 /// Transfer a random amount between two distinct random accounts; the
@@ -111,7 +115,7 @@ fn quiesced_concurrent_run_recovers_byte_identical() {
             let pages = (0..cfg.wal.data_pages)
                 .map(|p| db.read(&mut t, p, 0, 64).expect("oracle read"))
                 .collect();
-            db.commit(t).unwrap().wait().unwrap();
+            db.commit(t).unwrap();
             pages
         };
 
@@ -180,6 +184,115 @@ fn mid_run_crash_image_conserves_balance() {
     }
 }
 
+/// Sum of the first `accounts` balances in a recovered database.
+fn recovered_total(mut db: WalDb, accounts: u64) -> u64 {
+    let t = db.begin();
+    (0..accounts)
+        .map(|p| u64::from_le_bytes(db.read(t, p, 0, 8).unwrap().try_into().unwrap()))
+        .sum()
+}
+
+/// Checker for the commit gate and for commit dependencies: a hot
+/// transfer storm over four streams with a modeled force delay, one
+/// stream killed mid-run, and a crash image every few milliseconds. A
+/// probe transfer homed on the doomed stream writes its debit there
+/// before the kill and its credit after, so it reroutes and commits with
+/// fragments on two streams. Every image must conserve the balance under
+/// both recovery paths — serial `WalDb::recover` and K=2 restart. It
+/// fails if a commit can become durable inside a snapshot window (a
+/// transaction that read its writes can then land in an image without
+/// it), or before the compensation of an aborted write it overwrote
+/// (recovery then undoes the aborted write over it).
+#[test]
+fn crash_images_stay_consistent_with_commits_in_flight() {
+    // the probe's two accounts sit past the storm's
+    const PROBE: u64 = ACCOUNTS;
+    let mut cfg = bank_cfg(0x6A7E);
+    cfg.wal.log_streams = 4;
+    cfg.force_delay_us = 1_000;
+    let db = Arc::new(ExecDb::new(cfg.clone()));
+    seed_accounts(&db);
+    db.run_txn(0, |ctx| {
+        ctx.write(PROBE, 0, &INITIAL.to_le_bytes())?;
+        ctx.write(PROBE + 1, 0, &INITIAL.to_le_bytes())
+    })
+    .unwrap();
+    let stop = AtomicBool::new(false);
+    let mut images: Vec<CrashImage> = Vec::new();
+    crossbeam::thread::scope(|s| {
+        for w in 0..6usize {
+            let (db, stop) = (Arc::clone(&db), &stop);
+            s.spawn(move |_| {
+                let mut rng = StdRng::seed_from_u64(0x6A7E ^ (w as u64) << 11);
+                while !stop.load(Ordering::Acquire) {
+                    let from = rng.gen_range(0..ACCOUNTS);
+                    let to = (from + rng.gen_range(1..ACCOUNTS)) % ACCOUNTS;
+                    let amount = rng.gen_range(1..6u64);
+                    db.run_txn(w, |ctx| {
+                        let a = u64::from_le_bytes(ctx.read(from, 0, 8)?.try_into().unwrap());
+                        let b = u64::from_le_bytes(ctx.read(to, 0, 8)?.try_into().unwrap());
+                        let moved = amount.min(a);
+                        ctx.write(from, 0, &(a - moved).to_le_bytes())?;
+                        ctx.write(to, 0, &(b + moved).to_le_bytes())
+                    })
+                    .expect("transfer txn");
+                }
+            });
+        }
+        let probe_db = Arc::clone(&db);
+        s.spawn(move |_| {
+            let db = probe_db;
+            std::thread::sleep(Duration::from_millis(60));
+            let mut t = loop {
+                let t = db.begin(0);
+                if t.home() == 1 {
+                    break t;
+                }
+                db.abort(t).unwrap();
+            };
+            db.write(&mut t, PROBE, 0, &(INITIAL - 7).to_le_bytes())
+                .unwrap();
+            db.inject_stream_fault(1, FaultPlan::new().fail_from_write(0))
+                .unwrap();
+            while !db.is_stream_dead(1) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            db.write(&mut t, PROBE + 1, 0, &(INITIAL + 7).to_le_bytes())
+                .unwrap();
+            assert_ne!(t.home(), 1, "the probe never rerouted");
+            db.commit(t).expect("probe commit across two streams");
+        });
+        for _ in 0..120 {
+            std::thread::sleep(Duration::from_micros(500));
+            images.push(db.crash_image().expect("mid-run crash image"));
+        }
+        stop.store(true, Ordering::Release);
+    })
+    .unwrap();
+    assert!(db.metrics().counter("failover.reroutes") > Some(0));
+    let copy = |image: &CrashImage| CrashImage {
+        data: image.data.snapshot(),
+        logs: image.logs.iter().map(Disk::snapshot).collect(),
+    };
+    let k2 = RestartConfig {
+        workers: 2,
+        ..RestartConfig::default()
+    };
+    let accounts = ACCOUNTS + 2;
+    for (i, image) in images.iter().enumerate() {
+        let (serial, _) = WalDb::recover(copy(image), cfg.wal.clone()).expect("recover");
+        let (parallel, _) = restart(copy(image), cfg.wal.clone(), &k2).expect("restart");
+        assert_eq!(
+            (
+                recovered_total(serial, accounts),
+                recovered_total(parallel, accounts)
+            ),
+            (accounts * INITIAL, accounts * INITIAL),
+            "image {i}: balance not conserved"
+        );
+    }
+}
+
 /// Double-entry accounting over the observability registry: after a
 /// quiesced bank run the pipeline's independently-maintained counter
 /// pairs must balance exactly. Each side of every law is incremented by
@@ -199,8 +312,8 @@ fn metrics_obey_conservation_laws() {
         let c = |name: &str| snap.counter(name).unwrap_or(0);
 
         // Law 1: every commit ack a worker observed corresponds to one
-        // group-commit completion the daemon recorded (read-only commits
-        // bypass the daemon and are excluded from both sides).
+        // commit record a log processor's force made durable (read-only
+        // commits write no record and are excluded from both sides).
         assert_eq!(
             c("txn.commits_acked"),
             c("group.completions"),
@@ -236,7 +349,7 @@ fn metrics_obey_conservation_laws() {
         assert_eq!(g("pool.hits"), hits);
         assert_eq!(g("pool.misses"), misses);
 
-        // Latency evidence: the commit histogram saw every daemon commit
+        // Latency evidence: the commit histogram saw every acked commit
         let h = snap.histogram("txn.commit_us").expect("commit histogram");
         assert!(h.count > 0 && h.quantile(0.99) >= h.quantile(0.5));
     }

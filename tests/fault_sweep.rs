@@ -1173,7 +1173,7 @@ fn read_all<S: PageStore>(store: &mut S) {
 
 // ---------------------------------------------------------------------------
 // Concurrent pipeline under the crash sweep: crash images snapped while
-// real worker threads are mid-commit through the group-commit daemon. Every
+// real worker threads are mid-commit. Every
 // transaction whose commit was *acknowledged* before the snapshot must be
 // durable in the recovered image — the exec pipeline's ack is a durability
 // promise, and the snapshot protocol (commit gate + data-first ordering)
@@ -1217,8 +1217,8 @@ fn exec_pipeline_acked_commits_survive_mid_run_crash() {
                             let page = w * TXNS_PER_WORKER + i;
                             db.run_txn(w as usize, |ctx| ctx.write(page, 0, &value(page)))
                                 .expect("pipeline txn");
-                            // run_txn returns only after the group-commit
-                            // daemon acks: from here the write is durable
+                            // run_txn returns only after the commit's
+                            // force lands: from here the write is durable
                             acked.lock().unwrap().insert(page);
                         }
                     });
